@@ -23,7 +23,7 @@ from repro.fi import CampaignConfig, generate_campaign
 from repro.parallel import partition_ranges
 from repro.patients import make_patient
 from repro.simulation import (CampaignStoreWriter, controller_profile,
-                              get_executor, plan_campaign, plan_fingerprint)
+                              plan_campaign, plan_fingerprint, run_plan)
 
 CONFIG = ExperimentConfig.preset("ci")
 SCENARIOS = generate_campaign(CampaignConfig(stride=CONFIG.stride))
@@ -74,7 +74,7 @@ def test_distributed_parity_with_retry(tmp_path):
     ref_dir = str(tmp_path / "reference")
     start = time.perf_counter()
     with CampaignStoreWriter(ref_dir, PLAN.platform, PLAN.n_steps) as sink:
-        get_executor(None, None).run(PLAN, sink=sink)
+        run_plan(PLAN, sink=sink)
     _report("single-box store write", time.perf_counter() - start)
 
     ranges = partition_ranges(N_TRACES, 2)

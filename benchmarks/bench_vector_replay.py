@@ -1,12 +1,13 @@
-"""Scalar vs lock-step batched monitor replay throughput.
+"""Lock-step monitor replay throughput across batch widths.
 
 Replays the Table V monitor set (CAWT, CAWOT, Guideline, MPC) plus a
 trained DT over the ``ci``-scale campaign (2 patients x 42 scenarios x
-150 cycles) through the scalar per-cycle loop and through the batched
-``observe_batch`` path at several widths.  A final test asserts that the
-batched alert streams are element-wise identical to the scalar replay
-and — the acceptance bar for the batched replay path — at least 3x
-faster at batch_size=32.
+150 cycles) through ``replay_campaign``'s lock-step ``observe_batch``
+path at several widths; batch_size=1 is the one-trace-at-a-time baseline
+(replay has no separate scalar path).  A final test asserts that the
+alert streams at batch_size 1 and 32 are element-wise identical to the
+scalar ``replay_monitor`` reference and — the acceptance bar for wide
+batches — that batch_size=32 is at least 3x faster than batch_size=1.
 
 Run:  pytest benchmarks/bench_vector_replay.py --benchmark-only -s
 """
@@ -21,7 +22,7 @@ from repro.core import cawot_monitor, cawt_monitor, learn_thresholds
 from repro.experiments import ExperimentConfig
 from repro.fi import CampaignConfig, generate_campaign
 from repro.ml import train_dt_monitor
-from repro.simulation import replay_campaign, run_campaign
+from repro.simulation import replay_campaign, replay_monitor, run_campaign
 
 CONFIG = ExperimentConfig.preset("ci")
 SCENARIOS = generate_campaign(CampaignConfig(stride=CONFIG.stride))
@@ -71,18 +72,22 @@ def test_replay_throughput(benchmark, batch_size):
 
 
 def test_replay_parity_and_speedup():
-    """batch_size=32 alert streams are element-wise identical to the
-    scalar replay and at least 3x faster (the path's acceptance bar)."""
+    """batch_size=1 and 32 alert streams are element-wise identical to the
+    scalar replay_monitor loop, and batch_size=32 is at least 3x faster
+    than batch_size=1 (the acceptance bar for wide batches)."""
     serial, t_serial = _timed(1)
     batched, t_batched = _timed(32)
-    _report("scalar", t_serial)
+    _report("batch_size=1", t_serial)
     _report("batch_size=32", t_batched)
     print(f"speedup: {t_serial / t_batched:.2f}x")
 
-    for name in serial:
-        assert len(batched[name]) == N_TRACES
-        for a, b in zip(serial[name], batched[name]):
-            assert np.array_equal(a, b), name
+    traces, monitors = _traces_and_monitors()
+    for name, monitor in monitors.items():
+        assert len(serial[name]) == len(batched[name]) == N_TRACES
+        for trace, a, b in zip(traces, serial[name], batched[name]):
+            reference = replay_monitor(monitor, trace)[0]
+            assert np.array_equal(a, reference), name
+            assert np.array_equal(b, reference), name
 
     assert t_serial / t_batched >= 3.0, (
         f"expected >=3x batched replay speedup, got "

@@ -1,9 +1,9 @@
 """CI smoke check: parallel execution, the vectorized engine, the on-disk
 store, the training fan-out and batched monitor replay must all be exact.
 
-Runs the ``ci``-scale fault-injection grid through the serial executor,
-through a 2-worker process pool and through the lock-step vectorized
-engine (``batch_size=4``), asserting that all three trace streams are
+Runs the ``ci``-scale fault-injection grid serially, through a 2-worker
+process pool and through the lock-step vectorized engine
+(``batch_size=4``), asserting that all three trace streams are
 element-wise identical (every array channel, every metadata field).  This
 is the determinism guarantee the parallel and vector engines are built on.  The same
 traces are then streamed through a :class:`CampaignStoreWriter` into a
@@ -14,10 +14,11 @@ The DT/MLP/LSTM :class:`TrainingJob` grid is trained serially and
 through the worker pool and the resulting monitors are compared parameter
 by parameter — the training-parity contract of ``repro.ml.training``.
 Every monitor kind (CAWT, CAWOT, Guideline, MPC and the trained
-DT/MLP/LSTM) is then replayed over the campaign scalar and through the
-batched ``observe_batch`` path at batch sizes {7, 32} x workers {1, 2},
-asserting element-wise identical alert streams — the exact-parity
-contract of ``repro.simulation.vector_replay``.  The same campaign is then pushed
+DT/MLP/LSTM) is then replayed over the campaign through the scalar
+``replay_monitor`` loop and through the lock-step ``replay_campaign``
+path at batch sizes {1, 7, 32} x workers {1, 2}, asserting element-wise
+identical alert streams — the exact-parity contract of
+``repro.simulation.replay``.  The same campaign is then pushed
 through the online :class:`MonitorService` as a live tick stream
 (``repro.serve.replay_log``) twice, and both served runs must reproduce
 the offline ``replay_campaign`` alert streams element-wise at offline
@@ -33,9 +34,9 @@ Table VII configuration) is swept across batch sizes {1, 8} x workers
 element-wise — the live lock-step monitor/mitigator path of
 ``repro.simulation.vector``.  A tiny cross-entropy scenario-search
 budget (``repro.search``) must find at least one hazard on the ``ci``
-preset and return a seed-deterministic ``SearchResult`` across executor
-shapes.  Last, the same grid is run as a 2-host distributed campaign
-(``repro.distributed``: subprocess range workers, one hard-killed
+preset and return a seed-deterministic ``SearchResult`` across
+``workers`` x ``batch_size`` settings.  Last, the same grid is run as a
+2-host distributed campaign (``repro.distributed``: subprocess range workers, one hard-killed
 mid-range and retried) and the merged dataset must be byte-identical to
 the single-box reference — manifest fingerprint, manifest bytes and
 element-wise traces.
@@ -64,7 +65,7 @@ from repro.serve.chaos import (crash_recovery_run, drive, fleet_ticks,
                                results_equal)
 from repro.simulation import (CampaignStoreWriter, TraceDataset,
                               plan_campaign, plan_fingerprint,
-                              replay_campaign, run_campaign)
+                              replay_campaign, replay_monitor, run_campaign)
 
 
 def traces_identical(a, b) -> bool:
@@ -187,9 +188,10 @@ def main() -> int:
           f"({', '.join(t.name for t in trained_serial)}) element-wise "
           "identical at any worker count")
 
-    # batched replay parity: every monitor kind, scalar vs observe_batch,
-    # across batch sizes and worker counts (LSTM exercises the column-loop
-    # fallback; a trace subset keeps its per-cycle cost bounded)
+    # replay parity: every monitor kind, the scalar replay_monitor loop vs
+    # lock-step replay_campaign across batch sizes and worker counts (LSTM
+    # exercises the column-loop fallback; a trace subset keeps its
+    # per-cycle cost bounded)
     monitors = {
         "CAWT": cawt_monitor(learn_thresholds(serial,
                                               batch_size=32).thresholds),
@@ -201,16 +203,20 @@ def main() -> int:
     replay_traces = {name: (serial[:12] if name == "LSTM" else serial)
                      for name in monitors}
     start = time.perf_counter()
-    ref = {name: replay_campaign({name: monitor}, replay_traces[name])[name]
+    ref = {name: [replay_monitor(monitor, trace)[0]
+                  for trace in replay_traces[name]]
            for name, monitor in monitors.items()}
     t_scalar = time.perf_counter() - start
     start = time.perf_counter()
-    for batch_size in (7, 32):
+    offline_refs = {}
+    for batch_size in (1, 7, 32):
         for replay_workers in (1, workers):
             for name, monitor in monitors.items():
                 batched = replay_campaign(
                     {name: monitor}, replay_traces[name],
                     workers=replay_workers, batch_size=batch_size)[name]
+                if replay_workers == 1:
+                    offline_refs.setdefault(batch_size, {})[name] = batched
                 bad = [i for i, (a, b) in enumerate(zip(ref[name], batched))
                        if not np.array_equal(a, b)]
                 if len(batched) != len(ref[name]) or bad:
@@ -221,16 +227,16 @@ def main() -> int:
                           f"{bad[0] if bad else '?'})")
                     return 1
     t_batched = time.perf_counter() - start
-    print(f"OK: batched replay of {len(monitors)} monitor kinds "
+    print(f"OK: lock-step replay of {len(monitors)} monitor kinds "
           f"({', '.join(monitors)}) element-wise identical to scalar at "
-          f"batch sizes 7/32 x workers 1/{workers} "
-          f"(scalar {t_scalar:.2f}s, 4 batched sweeps {t_batched:.2f}s)")
+          f"batch sizes 1/7/32 x workers 1/{workers} "
+          f"(scalar {t_scalar:.2f}s, 6 lock-step sweeps {t_batched:.2f}s)")
 
     # serving parity: replay the recorded campaign through the online
     # MonitorService as a live tick stream, twice, and compare against
     # the offline replay at batch sizes 1 and 8 — every monitor kind,
     # stateful ones included (per-user clones inside the service)
-    offline_refs = {1: ref}
+    offline_refs = {1: offline_refs[1]}
     offline_refs[8] = {
         name: replay_campaign({name: monitor}, replay_traces[name],
                               batch_size=8)[name]
@@ -316,7 +322,7 @@ def main() -> int:
 
     # scenario-search smoke: a tiny cross-entropy budget must still find a
     # hazard on the ci preset, and the SearchResult must be seed-
-    # deterministic across executor shapes (the repro.search contract)
+    # deterministic across workers x batch_size (the repro.search contract)
     def run_search(search_workers, batch_size):
         return CrossEntropySearch(
             platform=config.platform, patient_id=config.patients[0],

@@ -42,8 +42,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import minimize
 
-from ..parallel import (fork_map_chunks, iter_equal_length_groups,
-                        resolve_batch_size, resolve_workers, shard_indices)
+from ..parallel import (iter_equal_length_groups, map_slices,
+                        resolve_batch_size)
 from .rules import APSRule, BG_TARGET, IOB_RATE_EPS, aps_rules, rate_mask
 
 __all__ = ["LOSSES", "tmee_loss", "telex_loss", "mse_loss", "mae_loss",
@@ -139,9 +139,7 @@ def _context_mask_arrays(rule: APSRule, bg: np.ndarray, bg_rate: np.ndarray,
                          iob_rate: np.ndarray, action: np.ndarray,
                          bg_target: float) -> np.ndarray:
     """Rule context (minus the learnable predicate) over aligned context
-    arrays — 1-D for one trace, ``(n_steps, B)`` for a lock-step stack.
-    The single mask implementation behind both mining paths, so batching
-    cannot drift from the serial semantics (shared
+    matrices of a ``(n_steps, B)`` lock-step stack (shared
     :func:`~repro.core.rules.rate_mask` sign constraints included)."""
     mask = np.ones(bg.shape, dtype=bool)
     if rule.bg_side == "above":
@@ -157,28 +155,8 @@ def _context_mask_arrays(rule: APSRule, bg: np.ndarray, bg_rate: np.ndarray,
     return mask
 
 
-def _context_mask(trace, rule: APSRule, bg_target: float) -> np.ndarray:
-    """Vectorized rule context (minus the learnable predicate) over a trace."""
-    bg = trace.cgm
-    bg_rate = np.zeros_like(bg)
-    bg_rate[1:] = np.diff(bg) / trace.dt
-    return _context_mask_arrays(rule, bg, bg_rate, trace.iob_rate,
-                                trace.action, bg_target)
-
-
 #: default mining window: the hour before hazard occurrence (12 cycles)
 MINING_WINDOW = 12
-
-
-def _trace_stat(trace, rule: APSRule, bg_target: float, start: int,
-                stop: int) -> Optional[float]:
-    """The per-trace robustness statistic over cycles ``[start, stop)``."""
-    mask = _context_mask(trace, rule, bg_target)[start:stop]
-    if not mask.any():
-        return None
-    mu = trace.iob if rule.mu_channel == "IOB" else trace.cgm
-    eligible = mu[start:stop][mask]
-    return float(eligible.min() if rule.direction == "lt" else eligible.max())
 
 
 def _trace_spans(trace, window: Optional[int]
@@ -208,7 +186,9 @@ def _trace_spans(trace, window: Optional[int]
 
 def _column_stat(mask: np.ndarray, mu: np.ndarray, column: int, start: int,
                  stop: int, direction: str) -> Optional[float]:
-    """:func:`_trace_stat` over one column of a lock-step stack."""
+    """The per-trace robustness statistic of one column of a lock-step
+    stack: the min (``lt``) or max (``gt``) of *mu* over the eligible
+    cycles in ``[start, stop)``, or None when no cycle is eligible."""
     eligible_mask = mask[start:stop, column]
     if not eligible_mask.any():
         return None
@@ -222,11 +202,10 @@ def _mine_group(group: List, rules: Sequence[APSRule], bg_target: float,
     """Mine one equal-length trace group as a lock-step stack.
 
     Each rule's context mask is evaluated once over the ``(n_steps, B)``
-    channel matrices (through the same :func:`_context_mask_arrays` the
-    serial path uses) instead of once per trace; the per-trace statistics
-    are then reduced column-wise over the per-trace mining windows.
-    Masks are pure comparisons and the statistics pick existing elements,
-    so the mined values are element-wise identical to the serial loop.
+    channel matrices; the per-trace statistics are then reduced
+    column-wise over the per-trace mining windows.  Masks are pure
+    comparisons and the statistics pick existing elements, so the mined
+    values do not depend on how traces are grouped.
     """
     bg = np.stack([trace.cgm for trace in group], axis=1)
     bg_rate = np.zeros_like(bg)
@@ -253,48 +232,11 @@ def _mine_group(group: List, rules: Sequence[APSRule], bg_target: float,
                     safe_stats[rule.index].append(stat)
 
 
-def _mine_chunk(traces: Iterable, rules: Sequence[APSRule], bg_target: float,
-                window: Optional[int], batch_size: int = 1
-                ) -> Tuple[Dict[int, List[float]], Dict[int, List[float]]]:
-    """Mine one contiguous slice of the trace stream (see mine_rule_samples).
-
-    The single place mining happens — the serial path hands it the whole
-    stream, the parallel path one chunk per worker, and ``batch_size > 1``
-    stacks consecutive equal-length traces into lock-step groups — so
-    worker count and batch size can only change wall-clock time, never
-    the mined statistics.
-    """
-    hazard_stats: Dict[int, List[float]] = {rule.index: [] for rule in rules}
-    safe_stats: Dict[int, List[float]] = {rule.index: [] for rule in rules}
-    if batch_size > 1:
-        for group in iter_equal_length_groups(traces, batch_size):
-            _mine_group(group, rules, bg_target, window, hazard_stats,
-                        safe_stats)
-        return hazard_stats, safe_stats
-    for trace in traces:
-        hazard_span, safe_stop = _trace_spans(trace, window)
-        if hazard_span is not None:
-            start, stop, first_type = hazard_span
-            for rule in rules:
-                if first_type != rule.hazard:
-                    continue
-                stat = _trace_stat(trace, rule, bg_target, start, stop)
-                if stat is not None:
-                    hazard_stats[rule.index].append(stat)
-        if safe_stop > 0:
-            for rule in rules:
-                stat = _trace_stat(trace, rule, bg_target, 0, safe_stop)
-                if stat is not None:
-                    safe_stats[rule.index].append(stat)
-    return hazard_stats, safe_stats
-
-
 def mine_rule_samples(traces: Iterable, rules: Optional[Sequence[APSRule]] = None,
                       bg_target: float = BG_TARGET,
                       window: Optional[int] = MINING_WINDOW,
                       workers: Optional[int] = None,
-                      batch_size: Optional[int] = None,
-                      chunks_per_worker: int = 4) -> List[RuleSamples]:
+                      batch_size: Optional[int] = None) -> List[RuleSamples]:
     """Extract per-rule, per-trace robustness statistics (see RuleSamples).
 
     Hazardous traces contribute to rules matching their hazard type, over
@@ -303,45 +245,36 @@ def mine_rule_samples(traces: Iterable, rules: Optional[Sequence[APSRule]] = Non
     traces contribute safe-side statistics over their full duration.  Pass
     ``window=None`` to mine the whole pre-hazard prefix (ablation use).
 
-    With ``workers > 1`` the trace sequence is cut into deterministic
-    contiguous chunks and mined over the shared forked-pool protocol
-    (:mod:`repro.parallel`); per-chunk statistics are concatenated in
-    chunk order, so the result is element-wise identical to the serial
-    path.  Lazy sequences (``TraceDataset``) are chunked by index, so each
-    worker only loads its own shards.  ``batch_size > 1`` (None:
-    ``REPRO_BATCH_SIZE`` env) additionally stacks consecutive equal-length
-    traces and evaluates each rule's context mask over the whole
-    ``(n_steps, B)`` stack at once — again element-wise identical, and
-    composing with *workers* inside each chunk.
+    ``batch_size`` (None: ``REPRO_BATCH_SIZE`` env, or 1) is how many
+    consecutive equal-length traces are stacked so each rule's context
+    mask is evaluated over a whole ``(n_steps, B)`` stack at once.  With
+    ``workers > 1`` the trace sequence is cut into contiguous slices
+    mined over the forked-pool protocol (:func:`repro.parallel.map_slices`)
+    and the per-slice statistics are concatenated in order; lazy
+    sequences (``TraceDataset``) slice into views, so each worker only
+    loads its own shards.  Neither setting changes a mined value.
     """
     rules = list(rules) if rules is not None else list(aps_rules())
     if window is not None and window < 1:
         raise ValueError(f"window must be >= 1 cycle, got {window}")
-    if chunks_per_worker < 1:
-        raise ValueError(
-            f"chunks_per_worker must be >= 1, got {chunks_per_worker}")
-    workers = resolve_workers(workers)
     batch_size = resolve_batch_size(batch_size)
-    if workers <= 1:
-        hazard_stats, safe_stats = _mine_chunk(traces, rules, bg_target,
-                                               window, batch_size)
-    else:
-        if not hasattr(traces, "__getitem__"):
-            traces = list(traces)
-        chunks = shard_indices(len(traces), workers * chunks_per_worker)
 
-        def mine_chunk(index_range):
-            return _mine_chunk((traces[i] for i in index_range), rules,
-                               bg_target, window, batch_size)
+    def mine_chunk(chunk):
+        # the one place mining happens: the whole stream serially, one
+        # slice per task in parallel, always in lock-step groups
+        hazard: Dict[int, List[float]] = {rule.index: [] for rule in rules}
+        safe: Dict[int, List[float]] = {rule.index: [] for rule in rules}
+        for group in iter_equal_length_groups(chunk, batch_size):
+            _mine_group(group, rules, bg_target, window, hazard, safe)
+        return hazard, safe
 
-        hazard_stats = {rule.index: [] for rule in rules}
-        safe_stats = {rule.index: [] for rule in rules}
-        for chunk_hazard, chunk_safe in fork_map_chunks(mine_chunk, chunks,
-                                                        workers):
-            for index, values in chunk_hazard.items():
-                hazard_stats[index].extend(values)
-            for index, values in chunk_safe.items():
-                safe_stats[index].extend(values)
+    hazard_stats: Dict[int, List[float]] = {rule.index: [] for rule in rules}
+    safe_stats: Dict[int, List[float]] = {rule.index: [] for rule in rules}
+    for chunk_hazard, chunk_safe in map_slices(mine_chunk, traces, workers):
+        for index, values in chunk_hazard.items():
+            hazard_stats[index].extend(values)
+        for index, values in chunk_safe.items():
+            safe_stats[index].extend(values)
     return [RuleSamples(rule=rule,
                         values=np.asarray(hazard_stats[rule.index]),
                         safe_values=np.asarray(safe_stats[rule.index]))
@@ -473,9 +406,9 @@ def learn_thresholds(traces: Iterable, loss: str = "tmee",
         byte-identical for every worker count.
     batch_size:
         Lock-step mining width (None: ``REPRO_BATCH_SIZE`` env, or 1):
-        rule contexts are evaluated over stacked trace groups instead of
-        trace by trace (see :func:`mine_rule_samples`).  Byte-identical
-        thresholds for every batch size; composes with *workers*.
+        how many traces each rule context is evaluated over at once (see
+        :func:`mine_rule_samples`).  Byte-identical thresholds for every
+        batch size; composes with *workers*.
 
     Rules with no mined samples keep their CAWOT defaults.  Non-hazardous
     training traces bound each threshold from the false-positive side.
@@ -513,7 +446,7 @@ def learn_fold_thresholds(traces: Sequence, folds: int,
     ``f``-th split (every trace whose index satisfies ``i % folds != f``,
     exactly :func:`~repro.simulation.batch.kfold_split`) plus all of
     *fault_free*.  The per-fold fits share no state, so they fan out over
-    the forked-pool chunk protocol: ``workers > 1`` distributes whole
+    :func:`repro.parallel.map_slices`: ``workers > 1`` distributes whole
     folds across processes — each fold's mining runs serially inside its
     worker — and collects the :class:`LearningResult` list in fold order,
     element-wise identical to the serial loop.  This is the k-fold hot
@@ -529,7 +462,6 @@ def learn_fold_thresholds(traces: Sequence, folds: int,
     if not hasattr(traces, "__getitem__"):
         traces = list(traces)
     fault_free = list(fault_free)
-    workers = resolve_workers(workers)
     batch_size = resolve_batch_size(batch_size)
 
     def fold_train(fold):
@@ -545,12 +477,11 @@ def learn_fold_thresholds(traces: Sequence, folds: int,
             fold_train(fold), loss=loss, rules=rules,
             bg_target=bg_target, enforce_coverage=enforce_coverage,
             coverage_quantile=coverage_quantile, window=window,
-            workers=1,  # no nested pools: folds are the parallel axis
+            workers=1,  # folds are the parallel axis
             batch_size=batch_size)
             for fold in fold_range]
 
     results: List[LearningResult] = []
-    for chunk in fork_map_chunks(fit_folds, shard_indices(folds, folds),
-                                 workers):
+    for chunk in map_slices(fit_folds, range(folds), workers):
         results.extend(chunk)
     return results

@@ -43,7 +43,7 @@ import time
 from typing import List, Optional
 
 from ..simulation.executor import (CampaignPlan, NpyDirectorySink,
-                                   NpzDirectorySink, TraceSink, get_executor)
+                                   NpzDirectorySink, TraceSink, run_plan)
 from ..simulation.store import SCHEMA_VERSION, plan_fingerprint, trace_entry
 from ..simulation.trace import SimulationTrace
 from .errors import DistributedCampaignError
@@ -152,7 +152,7 @@ def write_partial(plan: CampaignPlan, start: int, stop: int, directory: str,
             "the remains of a crashed attempt; use a fresh attempt "
             "directory") from exc
     started = time.perf_counter()
-    get_executor(workers, batch_size).run(sub_plan, sink=sink)
+    run_plan(sub_plan, workers=workers, batch_size=batch_size, sink=sink)
     wall_s = time.perf_counter() - started
     doc = {"format": PARTIAL_FORMAT_VERSION,
            "schema_version": SCHEMA_VERSION,

@@ -52,12 +52,11 @@ class ExperimentConfig:
         Results are element-wise identical for every worker count, so
         this is excluded from :meth:`cache_key`.
     batch_size:
-        Lock-step vectorization width; 1 = the scalar loops.  Batches
-        campaign and fault-free simulation — including the monitored and
-        mitigated Table VII closed loop
-        (:mod:`repro.simulation.vector`) — offline monitor replay for
-        Tables V/VI and Fig. 9 (:mod:`repro.simulation.vector_replay`)
-        and the rule-context mining behind CAWT threshold learning
+        Lock-step width.  Batches campaign and fault-free simulation —
+        including the monitored and mitigated Table VII closed loop
+        (:mod:`repro.simulation.vector`; 1 = the scalar closed loop) —
+        offline monitor replay for Tables V/VI and Fig. 9
+        (:mod:`repro.simulation.replay`) and the rule-context mining behind CAWT threshold learning
         (:func:`~repro.core.learning.mine_rule_samples`).  Every batched
         path is element-wise identical to its scalar loop for every
         batch size, so this too is excluded from :meth:`cache_key`.

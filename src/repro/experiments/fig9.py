@@ -10,8 +10,8 @@ unstable spread and a slightly lower early-detection rate.
 threshold fits (:func:`~repro.core.learn_fold_thresholds` inside
 ``cawt_cv_replay``), the DT/MLP/LSTM training jobs behind ``ml_monitors``,
 and all monitor replay — each element-wise identical to its serial path.
-``config.batch_size`` batches the replay and mining in lock step on top
-(:mod:`repro.simulation.vector_replay`), with the same guarantee.
+``config.batch_size`` sets the lock-step width of the replay and mining
+(:mod:`repro.simulation.replay`), with the same guarantee.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ cross-validation (Section V-B).
 
 All monitor replay and threshold mining here scale with
 ``config.workers`` (forked pool) and ``config.batch_size`` (lock-step
-batches, :mod:`repro.simulation.vector_replay`) — both wall-clock knobs
-with element-wise identical results.
+batches, :mod:`repro.simulation.replay`) — both wall-clock knobs with
+element-wise identical results.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ Every stage scales with ``config.workers``: the ML fits run as a
 :func:`~repro.experiments.data.ml_monitors`), replay over the shared
 forked pool, and CAWT threshold learning parallelises its sample mining —
 all with element-wise identical results to the serial path.
-``config.batch_size`` additionally batches the replay and the rule-context
-mining in lock step (:mod:`repro.simulation.vector_replay`), composing
-with the worker pool and again element-wise identical.
+``config.batch_size`` sets the lock-step width of the replay and the
+rule-context mining (:mod:`repro.simulation.replay`), composing with the
+worker pool and again element-wise identical.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..parallel import fork_map_chunks, resolve_workers, shard_indices
+from ..parallel import map_slices
 from ..simulation.features import FEATURE_NAMES, context_matrix, context_row
 from .memmap import (MemmapDatasetError, NpyStreamWriter, open_memmap_array,
                      meta_path, read_meta, write_meta)
@@ -84,7 +84,8 @@ def point_labels(trace, multiclass: bool = False) -> np.ndarray:
 #
 # These are the only places features and labels are stacked — the serial
 # path hands them the whole trace stream, the parallel path one contiguous
-# chunk per task and the mmap path streams their blocks to disk — so
+# slice per task (:func:`repro.parallel.map_slices`) and the mmap path
+# streams their blocks to disk — so
 # worker count and backing store can change wall-clock time and residency,
 # never a single matrix element.
 
@@ -112,28 +113,6 @@ def _window_chunk(traces: Iterable, k: int, multiclass: bool
         xs.append(windows.copy())
         ys.append(labels[k - 1:])
     return xs, ys
-
-
-def _iter_blocks(traces, workers: int, extract):
-    """Yield per-chunk ``(x_blocks, y_blocks)`` in deterministic order."""
-    workers = resolve_workers(workers)
-    if workers <= 1:
-        yield extract(traces)
-        return
-    if not hasattr(traces, "__getitem__"):
-        traces = list(traces)
-    chunks = shard_indices(len(traces), workers * 4)
-
-    def extract_chunk(index_range):
-        # concatenate inside the worker so only two arrays travel back
-        xs, ys = extract(traces[i] for i in index_range)
-        if not xs:
-            return None
-        return np.concatenate(xs), np.concatenate(ys)
-
-    for result in fork_map_chunks(extract_chunk, chunks, workers):
-        if result is not None:
-            yield [result[0]], [result[1]]
 
 
 def _stack_blocks(blocks, empty_message: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -188,7 +167,7 @@ def _reopen(directory: str, request: dict,
     return X, y
 
 
-def _materialize(traces, directory: str, workers: int, extract,
+def _materialize(traces, directory: str, workers: Optional[int], extract,
                  request: dict, row_shape: Tuple[int, ...],
                  empty_message: str) -> Tuple[np.ndarray, np.ndarray]:
     """Stream blocks into ``<directory>/{X,y}.npy`` and reopen mapped.
@@ -212,7 +191,7 @@ def _materialize(traces, directory: str, workers: int, extract,
                          row_shape) as x_writer, \
             NpyStreamWriter(os.path.join(directory, "y.npy"), (),
                             dtype=np.int64) as y_writer:
-        for x_blocks, y_blocks in _iter_blocks(traces, workers, extract):
+        for x_blocks, y_blocks in map_slices(extract, traces, workers):
             for block in x_blocks:
                 x_writer.append(block)
             for block in y_blocks:
@@ -253,7 +232,7 @@ def build_point_dataset(traces: Iterable, multiclass: bool = False,
             traces, mmap_dir, workers, extract,
             _dataset_request("point", None, multiclass),
             (len(FEATURE_NAMES),), "no traces supplied")
-    return _stack_blocks(_iter_blocks(traces, workers, extract),
+    return _stack_blocks(map_slices(extract, traces, workers),
                          "no traces supplied")
 
 
@@ -282,4 +261,4 @@ def build_window_dataset(traces: Iterable, k: int = 6,
             traces, mmap_dir, workers, extract,
             _dataset_request("window", k, multiclass),
             (k, len(FEATURE_NAMES)), empty)
-    return _stack_blocks(_iter_blocks(traces, workers, extract), empty)
+    return _stack_blocks(map_slices(extract, traces, workers), empty)

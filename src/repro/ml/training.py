@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.monitor import SafetyMonitor
-from ..parallel import fork_map_chunks, resolve_workers, shard_indices
+from ..parallel import map_slices
 from ..simulation.store import TraceDataset, TraceDatasetView
 from .datasets import build_point_dataset, build_window_dataset
 from .monitors import DTMonitor, LSTMMonitor, MLPMonitor
@@ -237,8 +237,8 @@ def train_job(job: TrainingJob, X: np.ndarray, y: np.ndarray
 
 def run_training_jobs(jobs: Sequence[TrainingJob], traces: Sequence,
                       workers: Optional[int] = None,
-                      mmap_root: Optional[str] = None,
-                      chunks_per_worker: int = 1) -> List[TrainedMonitor]:
+                      mmap_root: Optional[str] = None
+                      ) -> List[TrainedMonitor]:
     """Train every job, fanned out over the forked-pool protocol.
 
     Parameters
@@ -268,12 +268,8 @@ def run_training_jobs(jobs: Sequence[TrainingJob], traces: Sequence,
     and seed derive from the job alone (:meth:`TrainingJob.job_seed`).
     """
     jobs = list(jobs)
-    if chunks_per_worker < 1:
-        raise ValueError(
-            f"chunks_per_worker must be >= 1, got {chunks_per_worker}")
     if not jobs:
         return []
-    workers = resolve_workers(workers)
     datasets: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
     for job in jobs:
         key = job.dataset_key()
@@ -281,13 +277,12 @@ def run_training_jobs(jobs: Sequence[TrainingJob], traces: Sequence,
             datasets[key] = job_dataset(job, traces, mmap_root=mmap_root,
                                         workers=workers)
 
-    def train_chunk(index_range) -> List[TrainedMonitor]:
-        return [train_job(jobs[i], *datasets[jobs[i].dataset_key()])
-                for i in index_range]
+    def train_chunk(chunk) -> List[TrainedMonitor]:
+        return [train_job(job, *datasets[job.dataset_key()])
+                for job in chunk]
 
     results: List[TrainedMonitor] = []
-    chunks = shard_indices(len(jobs), workers * chunks_per_worker)
-    for chunk in fork_map_chunks(train_chunk, chunks, workers):
+    for chunk in map_slices(train_chunk, jobs, workers):
         results.extend(chunk)
     return results
 

@@ -1,14 +1,14 @@
 """Generic forked-pool chunk protocol.
 
-PR 1 built the parallel campaign executor around one idea: cut a
-deterministic work list into contiguous chunks, fork a ``multiprocessing``
-pool so unpicklable state (monitor factories, trained models, lazy
-datasets) is *inherited* rather than serialised, and collect chunk results
-strictly in submission order from a bounded in-flight window.  This module
-hoists that machinery out of :mod:`repro.simulation.executor` so every
-fan-out in the code base — campaign simulation, monitor replay, robustness
--sample mining — shares the exact same protocol and therefore the exact
-same guarantee: worker count changes wall-clock time, never output.
+Every fan-out in the code base — campaign simulation, monitor replay,
+robustness-sample mining, fold learning, dataset extraction and model
+training — goes through :func:`map_slices`: cut a deterministic work list
+into contiguous slices, fork a ``multiprocessing`` pool so unpicklable
+state (monitor factories, trained models, lazy datasets) is *inherited*
+rather than serialised, and collect the slice results strictly in
+submission order from a bounded in-flight window.  One protocol gives one
+guarantee: worker count changes wall-clock time, never output.  A fan-out
+started inside a pool worker runs serially, so nested fan-outs terminate.
 
 It sits below both :mod:`repro.core` and :mod:`repro.simulation` and
 imports neither, so either layer can parallelise without cycles.
@@ -19,15 +19,14 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import threading
 import warnings
 from collections import deque
 from typing import (Any, Callable, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
 __all__ = ["shard_indices", "partition_ranges", "ranges_defect",
-           "fork_map_chunks", "resolve_workers", "resolve_batch_size",
-           "iter_equal_length_groups"]
+           "fork_map_chunks", "map_slices", "resolve_workers",
+           "resolve_batch_size", "iter_equal_length_groups"]
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -41,8 +40,9 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 def resolve_batch_size(batch_size: Optional[int]) -> int:
     """Normalise a ``batch_size=`` argument (None: ``REPRO_BATCH_SIZE`` env,
-    or 1 = scalar execution).  Shared by the simulation engine, monitor
-    replay and robustness-sample mining so one knob means one thing."""
+    or 1).  Shared by the simulation engine, monitor replay and
+    robustness-sample mining so one knob means one thing: how many traces
+    advance in lock step.  It changes wall-clock time, never output."""
     if batch_size is None:
         batch_size = int(os.environ.get("REPRO_BATCH_SIZE", "1"))
     if batch_size < 1:
@@ -137,58 +137,58 @@ def ranges_defect(ranges: Iterable[Tuple[int, int]],
     return None
 
 
-#: fork-inherited state for pool workers — set immediately before the pool
-#: forks, cleared right after; never pickled, so unpicklable chunk
-#: functions (closures over monitors, datasets, plans) travel for free.
-#: The lock serialises the assign-then-fork critical section so two
-#: threads fanning out concurrently can neither fork the other's work
-#: list nor fork None.
-_FORK_STATE: Optional[tuple] = None
-_FORK_STATE_LOCK = threading.Lock()
+#: slices per worker when :func:`map_slices` cuts its input: enough
+#: oversharding that a slow slice (a cold profile titration, a long
+#: fault) re-balances across the pool.  Results never depend on it.
+CHUNKS_PER_WORKER = 4
+
+#: the ``(fn, chunks)`` task of this process when it is a pool worker —
+#: handed over by the pool initializer, inherited through fork and never
+#: pickled, so unpicklable chunk functions (closures over monitors,
+#: datasets, plans) travel for free.  ``None`` outside a pool worker,
+#: where a fan-out may fork; inside one every fan-out runs serially.
+_WORKER_TASK: Optional[tuple] = None
+
+
+def _init_worker(fn: Callable[[Any], Any], chunks: List[Any]) -> None:
+    global _WORKER_TASK
+    _WORKER_TASK = (fn, chunks)
 
 
 def _fork_worker(chunk_index: int):
-    fn, chunks = _FORK_STATE
+    fn, chunks = _WORKER_TASK
     return fn(chunks[chunk_index])
 
 
 def fork_map_chunks(fn: Callable[[Any], Any], chunks: Sequence[Any],
-                    workers: int, start_method: str = "fork"
-                    ) -> Iterator[Any]:
+                    workers: int) -> Iterator[Any]:
     """Yield ``fn(chunk)`` for every chunk, strictly in chunk order.
 
-    With ``workers > 1`` and a platform that supports *start_method*, the
-    chunks are fanned out over a forked pool; *fn* and the chunks are
-    inherited by the workers (never pickled) while each **result** must be
-    picklable.  Results are collected from a bounded window of in-flight
-    tasks — at most ``2 * workers`` finished-but-unread chunks sit in the
-    parent — so a slow consumer cannot make memory pile up and the yielded
-    stream is element-wise identical to the serial loop.
+    With ``workers > 1``, more than one chunk and a platform that can
+    fork, the chunks are fanned out over a forked pool; *fn* and the
+    chunks reach the workers through the pool initializer (inherited,
+    never pickled) while each **result** must be picklable.  Results are
+    collected from a bounded window of in-flight tasks — at most
+    ``2 * workers`` finished-but-unread chunks sit in the parent — so a
+    slow consumer cannot make memory pile up and the yielded stream is
+    element-wise identical to the serial loop.  Called inside a pool
+    worker, it runs serially: a nested fan-out never forks.
     """
     chunks = list(chunks)
-    if workers <= 1 or len(chunks) <= 1:
+    if workers <= 1 or len(chunks) <= 1 or _WORKER_TASK is not None:
         for chunk in chunks:
             yield fn(chunk)
         return
-    if start_method not in multiprocessing.get_all_start_methods():
-        warnings.warn(
-            f"start method {start_method!r} unavailable; falling back to "
-            "serial execution", RuntimeWarning, stacklevel=3)
+    if "fork" not in multiprocessing.get_all_start_methods():
+        warnings.warn("fork start method unavailable; falling back to "
+                      "serial execution", RuntimeWarning, stacklevel=3)
         for chunk in chunks:
             yield fn(chunk)
         return
 
-    global _FORK_STATE
-    ctx = multiprocessing.get_context(start_method)
-    # fork pools spawn their workers eagerly in the constructor, so the
-    # shared state only needs to exist across the assign-then-fork window
-    with _FORK_STATE_LOCK:
-        _FORK_STATE = (fn, chunks)
-        try:
-            pool = ctx.Pool(processes=min(workers, len(chunks)))
-        finally:
-            _FORK_STATE = None
-    with pool:
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(processes=min(workers, len(chunks)),
+                  initializer=_init_worker, initargs=(fn, chunks)) as pool:
         window = 2 * workers
         pending: deque = deque()
         indices = iter(range(len(chunks)))
@@ -199,3 +199,31 @@ def fork_map_chunks(fn: Callable[[Any], Any], chunks: Sequence[Any],
             for i in itertools.islice(indices, 1):
                 pending.append(pool.apply_async(_fork_worker, (i,)))
             yield result
+
+
+def map_slices(fn: Callable[[Any], Any], items: Any,
+               workers: Optional[int] = None) -> Iterator[Any]:
+    """Yield ``fn(part)`` over contiguous slices of *items*, in order.
+
+    The one fan-out policy of the code base — campaign simulation,
+    monitor replay, robustness-sample mining, fold learning, dataset
+    extraction and model training all come through here.  Serially
+    (``workers`` resolves to 1, or the caller is itself a pool worker)
+    *fn* gets the whole of *items*, so a generator streams through
+    untouched.  Otherwise *items* (materialised if it cannot be sliced)
+    is cut into ``workers * CHUNKS_PER_WORKER`` contiguous slices by
+    :func:`shard_indices` and mapped with :func:`fork_map_chunks`; lazy
+    sequences such as ``TraceDataset`` slice into views, so each worker
+    loads only its own part.  Concatenating the yielded results in order
+    reproduces the serial result whenever *fn* is a per-item map, which
+    is what makes ``workers`` a wall-clock setting only.
+    """
+    workers = resolve_workers(workers)
+    if workers <= 1 or _WORKER_TASK is not None:
+        yield fn(items)
+        return
+    if not hasattr(items, "__getitem__"):
+        items = list(items)
+    chunks = [items[r.start:r.stop]
+              for r in shard_indices(len(items), workers * CHUNKS_PER_WORKER)]
+    yield from fork_map_chunks(fn, chunks, workers)

@@ -35,7 +35,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..hazards import HazardScore, score_trace
-from ..simulation import CampaignPlan, get_executor
+from ..simulation import CampaignPlan, run_plan
 from ..simulation.trace import SimulationTrace
 from .proposal import Proposal
 from .space import ScenarioSample, ScenarioSpace
@@ -192,18 +192,18 @@ class CrossEntropySearch:
                 f"target_hazards must be >= 1, got {self.target_hazards}")
 
     # ------------------------------------------------------------------
-    def _simulate(self, samples: Sequence[ScenarioSample], executor
+    def _simulate(self, samples: Sequence[ScenarioSample]
                   ) -> List[SimulationTrace]:
         runs = tuple(s.to_run(self.patient_id) for s in samples)
         plan = CampaignPlan(platform=self.platform, runs=runs,
                             n_steps=self.n_steps, dt=self.dt)
-        return executor.run(plan)
+        return run_plan(plan, workers=self.workers,
+                        batch_size=self.batch_size)
 
     def run(self, seed: int = 0) -> SearchResult:
         """Execute the search; deterministic in *seed* alone."""
         space = self.space
         proposal = Proposal.uniform(space.n_families, space.n_dims)
-        executor = get_executor(self.workers, self.batch_size)
         # one child seed per potential iteration, spawned up front so the
         # iteration count at which an early exit fires cannot change the
         # streams of the iterations that did run
@@ -225,7 +225,7 @@ class CrossEntropySearch:
             families, u = proposal.sample(rng, n)
             samples = [space.materialise(int(f), row)
                        for f, row in zip(families, u)]
-            traces = self._simulate(samples, executor)
+            traces = self._simulate(samples)
             scores = [self.objective(trace) for trace in traces]
             total += n
 

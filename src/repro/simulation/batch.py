@@ -5,8 +5,8 @@ Basal-Bolus + UVA-Padova T1DS2013.  :func:`make_loop` builds the matched
 patient/controller pair for a cohort member (controller profile derived from
 the patient's steady-state basal via the 1800 rule), and :func:`run_campaign`
 executes a fault-injection campaign over one or more patients — serially by
-default, or fanned out over a process pool via the executors in
-:mod:`repro.simulation.executor`.
+default, or fanned out over a process pool by
+:func:`repro.simulation.executor.run_plan`.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from ..controllers import BasalBolusController, Controller, OpenAPSController
 from ..core.mitigation import Mitigator
 from ..core.monitor import SafetyMonitor
 from ..fi import FaultInjector, InjectionScenario
+from ..parallel import resolve_batch_size, resolve_workers
 from ..patients import PatientModel, make_patient
 from .executor import (BASELINE_CACHE, PROFILE_CACHE, BaselineCache,
-                       CampaignExecutor, CampaignPlan, TraceSink,
-                       get_executor, plan_campaign, plan_fault_free)
+                       CampaignPlan, TraceSink, plan_campaign,
+                       plan_fault_free, run_plan)
 from .loop import ClosedLoop
 from .trace import SimulationTrace
 
@@ -97,7 +98,6 @@ def run_campaign(platform: str, patient_ids: Sequence[str],
                  n_steps: int = 150,
                  workers: Optional[int] = None,
                  batch_size: Optional[int] = None,
-                 executor: Optional[CampaignExecutor] = None,
                  sink: Optional[TraceSink] = None) -> Optional[List[SimulationTrace]]:
     """Run every injection scenario against every patient.
 
@@ -121,9 +121,6 @@ def run_campaign(platform: str, patient_ids: Sequence[str],
         the alerted rows in place (see ``docs/mitigation.md``).  Composes
         with *workers* — each pool chunk becomes a sequence of vectorized
         batches.
-    executor:
-        Explicit :class:`~repro.simulation.executor.CampaignExecutor`
-        (overrides *workers* and *batch_size*).
     sink:
         Optional :class:`~repro.simulation.executor.TraceSink`; when given,
         traces are streamed to it in (patient, scenario) order and ``None``
@@ -135,9 +132,9 @@ def run_campaign(platform: str, patient_ids: Sequence[str],
     streaming to *sink*.
     """
     plan = plan_campaign(platform, patient_ids, scenarios, n_steps=n_steps)
-    executor = executor or get_executor(workers, batch_size)
-    return executor.run(plan, monitor_factory=monitor_factory,
-                        mitigator=mitigator, sink=sink)
+    return run_plan(plan, workers=workers, batch_size=batch_size,
+                    monitor_factory=monitor_factory, mitigator=mitigator,
+                    sink=sink)
 
 
 def run_fault_free(platform: str, patient_ids: Sequence[str],
@@ -146,7 +143,6 @@ def run_fault_free(platform: str, patient_ids: Sequence[str],
                    n_steps: int = 150,
                    workers: Optional[int] = None,
                    batch_size: Optional[int] = None,
-                   executor: Optional[CampaignExecutor] = None,
                    cache: Optional[BaselineCache] = BASELINE_CACHE,
                    sink: Optional[TraceSink] = None) -> Optional[List[SimulationTrace]]:
     """Fault-free reference runs over the same initial-glucose grid.
@@ -162,11 +158,14 @@ def run_fault_free(platform: str, patient_ids: Sequence[str],
     ``cache=None``; with caching on, the sink still receives the traces
     in plan order but memory is O(grid) either way.
     """
+    # validated up front: a fully cached call never reaches run_plan
+    workers = resolve_workers(workers)
+    batch_size = resolve_batch_size(batch_size)
     plan = plan_fault_free(platform, patient_ids, init_glucose_values,
                            n_steps=n_steps)
-    executor = executor or get_executor(workers, batch_size)
     if monitor_factory is not None or cache is None:
-        return executor.run(plan, monitor_factory=monitor_factory, sink=sink)
+        return run_plan(plan, workers=workers, batch_size=batch_size,
+                        monitor_factory=monitor_factory, sink=sink)
 
     keys = [BaselineCache.key(platform, run.patient_id, run.init_glucose,
                               n_steps) for run in plan.runs]
@@ -176,7 +175,7 @@ def run_fault_free(platform: str, patient_ids: Sequence[str],
         sub_plan = CampaignPlan(platform=platform,
                                 runs=tuple(plan.runs[i] for i in missing),
                                 n_steps=n_steps)
-        fresh = executor.run(sub_plan)
+        fresh = run_plan(sub_plan, workers=workers, batch_size=batch_size)
         for i, trace in zip(missing, fresh):
             cache.put(keys[i], trace)
             traces[i] = trace

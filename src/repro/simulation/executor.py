@@ -9,12 +9,11 @@ while keeping the output *byte-identical* to the serial loop:
 - :func:`plan_campaign` / :func:`plan_fault_free` normalise a campaign into
   an immutable :class:`CampaignPlan` — a flat, patient-major tuple of
   :class:`SimRun` cells;
-- :func:`shard_plan` cuts the plan into deterministic contiguous chunks;
-- :class:`SerialExecutor` and :class:`ParallelExecutor` share the
-  :class:`CampaignExecutor` interface.  The parallel executor forks a
-  ``multiprocessing`` pool (fork start method, so unpicklable monitor
-  factories are inherited, not serialised) and merges chunk results in
-  stable (patient, scenario) order;
+- :func:`run_plan` executes a plan: contiguous slices of it fan out over
+  the forked pool of :func:`repro.parallel.map_slices` (fork start
+  method, so unpicklable monitor factories are inherited, not
+  serialised) and the traces come back in stable (patient, scenario)
+  order;
 - :class:`ProfileCache` and :class:`BaselineCache` hold the expensive
   shared artifacts (titrated controller profiles, fault-free reference
   traces) in explicit, lock-guarded objects that forked workers warm
@@ -23,18 +22,19 @@ while keeping the output *byte-identical* to the serial loop:
   million-trace campaigns never hold every :class:`SimulationTrace` at
   once.
 
-Every execution path funnels through the same per-chunk runner, so worker
-count never changes the simulated dynamics — only the wall-clock time.
+Every execution path funnels through the same per-chunk runner, so
+``workers`` and ``batch_size`` never change the simulated dynamics — only
+the wall-clock time.
 """
 
 from __future__ import annotations
 
 import abc
-import multiprocessing
+import functools
 import os
 import threading
-import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
@@ -43,18 +43,16 @@ import numpy as np
 from ..core.mitigation import Mitigator
 from ..core.monitor import SafetyMonitor
 from ..fi import FaultInjector, FaultSpec, InjectionScenario
-from ..parallel import (fork_map_chunks, resolve_batch_size, resolve_workers,
-                        shard_indices)
+from ..parallel import map_slices, resolve_batch_size, resolve_workers
 from ..patients import Meal
 from .scenario import Scenario
 from .trace import SimulationTrace, trace_to_arrays, trace_to_struct
 
 __all__ = [
     "SimRun", "CampaignPlan", "plan_campaign", "plan_fault_free",
-    "shard_plan", "ProfileCache", "BaselineCache", "PROFILE_CACHE",
-    "BASELINE_CACHE", "TraceSink", "ListSink", "CountingSink",
-    "NpzDirectorySink", "NpyDirectorySink", "CampaignExecutor", "SerialExecutor",
-    "ParallelExecutor", "get_executor", "resolve_batch_size",
+    "ProfileCache", "BaselineCache", "PROFILE_CACHE", "BASELINE_CACHE",
+    "TraceSink", "ListSink", "CountingSink", "NpzDirectorySink",
+    "NpyDirectorySink", "run_plan", "get_executor", "resolve_batch_size",
 ]
 
 MonitorFactory = Callable[[str], SafetyMonitor]
@@ -71,7 +69,8 @@ class SimRun:
     ``meals`` carries scheduled carbohydrate disturbances (empty for the
     paper's meal-free grid); sampled scenario populations — the rare-event
     search in :mod:`repro.search` — plan meal scenarios through the same
-    executor path, so both the scalar and lock-step engines consume them.
+    :func:`run_plan` path, so both the scalar and lock-step engines
+    consume them.
     """
 
     patient_id: str
@@ -85,8 +84,9 @@ class SimRun:
 class CampaignPlan:
     """An immutable, patient-major execution plan.
 
-    The run order *is* the output order: executors must return (or stream)
-    traces exactly in ``plan.runs`` order, whatever the worker count.
+    The run order *is* the output order: :func:`run_plan` returns (or
+    streams) traces exactly in ``plan.runs`` order, whatever the worker
+    count.
     """
 
     platform: str
@@ -124,18 +124,6 @@ def plan_fault_free(platform: str, patient_ids: Sequence[str],
                         label=f"fault-free/bg{bg:g}", fault=None)
                  for pid in patient_ids for bg in init_glucose_values)
     return CampaignPlan(platform=platform, runs=runs, n_steps=n_steps, dt=dt)
-
-
-def shard_plan(plan: CampaignPlan,
-               n_chunks: int) -> List[Tuple[SimRun, ...]]:
-    """Cut ``plan.runs`` into at most *n_chunks* contiguous chunks.
-
-    Chunk boundaries depend only on ``(len(plan), n_chunks)``, so sharding
-    is deterministic, and concatenating the chunks always reproduces the
-    original run order.  Chunk sizes differ by at most one.
-    """
-    return [plan.runs[r.start:r.stop]
-            for r in shard_indices(len(plan.runs), n_chunks)]
 
 
 # ----------------------------------------------------------------------
@@ -240,11 +228,12 @@ BASELINE_CACHE = BaselineCache()
 class TraceSink(abc.ABC):
     """Consumer of a stable-ordered trace stream.
 
-    Executors call :meth:`write` once per completed run, in exact plan
-    order.  The *caller* owns the sink's lifecycle — use it as a context
+    :func:`run_plan` calls :meth:`write` once per completed run, in exact
+    plan order.  The *caller* owns the sink's lifecycle — use it as a context
     manager (or call :meth:`close`) so one sink can absorb several
     campaigns before flushing.  Sinks let arbitrarily large campaigns run
-    in bounded memory: the executor drops each chunk after handing it over.
+    in bounded memory: :func:`run_plan` drops each chunk after handing it
+    over.
     """
 
     @abc.abstractmethod
@@ -367,7 +356,7 @@ def _run_chunk(plan: CampaignPlan, runs: Sequence[SimRun],
                batch_size: int = 1) -> List[SimulationTrace]:
     """Execute a contiguous slice of the plan.
 
-    This is the *only* place simulations happen — serial executor, parallel
+    This is the *only* place simulations happen — the serial path, pool
     workers and cache-warming all call it, which is what guarantees that
     worker count cannot change the simulated dynamics.  With
     ``batch_size > 1`` the slice runs through the lock-step vectorized
@@ -402,137 +391,52 @@ def _run_chunk(plan: CampaignPlan, runs: Sequence[SimRun],
 
 
 # ----------------------------------------------------------------------
-# executors
+# execution
 # ----------------------------------------------------------------------
 
-class CampaignExecutor(abc.ABC):
-    """Executes a :class:`CampaignPlan`, preserving plan order exactly."""
+def run_plan(plan: CampaignPlan, *, workers: Optional[int] = None,
+             batch_size: Optional[int] = None,
+             monitor_factory: Optional[MonitorFactory] = None,
+             mitigator: Optional[Mitigator] = None,
+             sink: Optional[TraceSink] = None
+             ) -> Optional[List[SimulationTrace]]:
+    """Execute *plan*, preserving plan order exactly.
 
-    @abc.abstractmethod
-    def map_chunks(self, plan: CampaignPlan,
-                   monitor_factory: Optional[MonitorFactory],
-                   mitigator: Optional[Mitigator]
-                   ) -> Iterable[List[SimulationTrace]]:
-        """Yield per-chunk trace lists, in plan order."""
+    Serially (``workers`` resolves to 1, the default, also via
+    ``REPRO_WORKERS``) the whole plan is one chunk, so the monitor
+    factory is invoked once per patient.  With more workers, contiguous
+    slices of the plan fan out over a forked pool
+    (:func:`repro.parallel.map_slices`) and are collected in submission
+    order, so parent-side memory stays proportional to ``workers``, not
+    campaign size.  *batch_size* (None: ``REPRO_BATCH_SIZE`` env, or 1)
+    is the lock-step width of :func:`_run_chunk`.  Neither setting
+    changes a trace.
 
-    def run(self, plan: CampaignPlan,
-            monitor_factory: Optional[MonitorFactory] = None,
-            mitigator: Optional[Mitigator] = None,
-            sink: Optional[TraceSink] = None
-            ) -> Optional[List[SimulationTrace]]:
-        """Execute the plan.
-
-        Without a sink, returns the full trace list in plan order.  With a
-        sink, each trace is streamed to ``sink.write`` as its chunk
-        completes (still in plan order), memory stays bounded by the chunk
-        size, and ``None`` is returned.
-        """
-        if sink is None:
-            collected: List[SimulationTrace] = []
-            for chunk_traces in self.map_chunks(plan, monitor_factory,
-                                                mitigator):
-                collected.extend(chunk_traces)
-            return collected
-        for chunk_traces in self.map_chunks(plan, monitor_factory, mitigator):
-            for trace in chunk_traces:
-                sink.write(trace)
-        return None
-
-
-class SerialExecutor(CampaignExecutor):
-    """Single-process reference executor (the original semantics).
-
-    The whole plan is one chunk, so — exactly like the historical serial
-    loop — the monitor factory is invoked once per patient and one
-    :class:`~repro.simulation.loop.ClosedLoop` is reused across a patient's
-    scenarios.  ``batch_size > 1`` runs the plan — monitored and mitigated
-    plans included — through the vectorized engine in batches of that many
-    rows (identical traces).
+    Without a sink, returns the full trace list in plan order.  With a
+    sink, each trace is streamed to ``sink.write`` as its chunk completes
+    (still in plan order), memory stays bounded by the chunk size, and
+    ``None`` is returned.
     """
+    batch_size = resolve_batch_size(batch_size)
 
-    def __init__(self, batch_size: int = 1):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.batch_size = batch_size
+    def run_chunk(runs):
+        return _run_chunk(plan, runs, monitor_factory, mitigator, batch_size)
 
-    def map_chunks(self, plan, monitor_factory, mitigator):
-        yield _run_chunk(plan, plan.runs, monitor_factory, mitigator,
-                         batch_size=self.batch_size)
-
-
-class ParallelExecutor(CampaignExecutor):
-    """Fan the plan out over a forked ``multiprocessing`` pool.
-
-    Parameters
-    ----------
-    workers:
-        Pool size (defaults to the machine's CPU count).
-    chunks_per_worker:
-        Oversharding factor: the plan is cut into
-        ``workers * chunks_per_worker`` chunks so stragglers (patients
-        whose profile titration is cold, long fault durations) re-balance.
-    start_method:
-        Forced multiprocessing start method.  Only ``"fork"`` supports
-        unpicklable monitor factories; on platforms without fork the
-        executor degrades to in-process serial execution with a warning.
-    batch_size:
-        With ``batch_size > 1`` each worker runs its chunk — monitored
-        and mitigated runs included — through the vectorized engine in
-        lock-step batches of that many rows, so the pool speedup and the
-        SIMD speedup multiply.
-
-    Chunk results are collected strictly in submission order from a
-    bounded window of in-flight tasks, so the trace stream is element-wise
-    identical to :class:`SerialExecutor`'s and parent-side memory stays
-    proportional to ``workers``, not campaign size.
-    """
-
-    def __init__(self, workers: Optional[int] = None,
-                 chunks_per_worker: int = 4,
-                 start_method: str = "fork",
-                 batch_size: int = 1):
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunks_per_worker < 1:
-            raise ValueError(
-                f"chunks_per_worker must be >= 1, got {chunks_per_worker}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.workers = workers or (os.cpu_count() or 1)
-        self.chunks_per_worker = chunks_per_worker
-        self.start_method = start_method
-        self.batch_size = batch_size
-
-    def map_chunks(self, plan, monitor_factory, mitigator):
-        if (self.workers <= 1 or len(plan) <= 1
-                or self.start_method not in
-                multiprocessing.get_all_start_methods()):
-            if self.start_method not in multiprocessing.get_all_start_methods():
-                warnings.warn(
-                    f"start method {self.start_method!r} unavailable; "
-                    "falling back to serial execution", RuntimeWarning,
-                    stacklevel=3)
-            yield _run_chunk(plan, plan.runs, monitor_factory, mitigator,
-                             batch_size=self.batch_size)
-            return
-
-        chunks = shard_plan(plan, self.workers * self.chunks_per_worker)
-
-        def run_chunk(runs):
-            return _run_chunk(plan, runs, monitor_factory, mitigator,
-                              batch_size=self.batch_size)
-
-        yield from fork_map_chunks(run_chunk, chunks, self.workers,
-                                   start_method=self.start_method)
+    chunks = map_slices(run_chunk, plan.runs, workers)
+    if sink is None:
+        return [trace for chunk in chunks for trace in chunk]
+    for chunk in chunks:
+        for trace in chunk:
+            sink.write(trace)
+    return None
 
 
 def get_executor(workers: Optional[int] = None,
-                 batch_size: Optional[int] = None) -> CampaignExecutor:
-    """Executor for *workers* processes and vectorized batches of
-    *batch_size* runs (None: ``REPRO_WORKERS`` / ``REPRO_BATCH_SIZE`` env,
-    defaulting to serial scalar execution)."""
-    workers = resolve_workers(workers)
-    batch_size = resolve_batch_size(batch_size)
-    if workers == 1:
-        return SerialExecutor(batch_size=batch_size)
-    return ParallelExecutor(workers=workers, batch_size=batch_size)
+                 batch_size: Optional[int] = None) -> SimpleNamespace:
+    """:func:`run_plan` with *workers* and *batch_size* bound (validated
+    here), as an object whose ``run(plan, **kwargs)`` takes the rest.
+    Kept for callers written against an executor object, such as the
+    benchmark's campaign workload (``perfbench/campaign.py``)."""
+    return SimpleNamespace(run=functools.partial(
+        run_plan, workers=resolve_workers(workers),
+        batch_size=resolve_batch_size(batch_size)))

@@ -1,7 +1,6 @@
 """Canonical per-cycle context reconstruction from recorded traces.
 
-Offline monitor replay (:mod:`repro.simulation.replay`), its batched
-sibling (:mod:`repro.simulation.vector_replay`) and ML dataset
+Offline monitor replay (:mod:`repro.simulation.replay`) and ML dataset
 construction (:mod:`repro.ml.datasets`) all rebuild the monitor's view of
 a trace: clean CGM, its finite-difference rate, loop-side IOB bookkeeping
 and the post-fault-injection command, plus the one-hot control action.
@@ -94,9 +93,9 @@ class ContextBatch:
     @classmethod
     def from_traces(cls, traces: Sequence) -> "ContextBatch":
         """Stack equal-length traces into one batch (column order = input
-        order).  Raises ``ValueError`` on an empty or ragged input — the
-        batching iterator of :mod:`repro.simulation.vector_replay` groups
-        a heterogeneous stream into valid batches."""
+        order).  Raises ``ValueError`` on an empty or ragged input —
+        :func:`repro.parallel.iter_equal_length_groups` groups a
+        heterogeneous stream into valid batches."""
         traces = list(traces)
         if not traces:
             raise ValueError("cannot build a ContextBatch from zero traces")

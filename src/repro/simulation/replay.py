@@ -6,18 +6,18 @@ needs to be *simulated once*; every candidate monitor can then be evaluated
 by replaying the recorded context stream through it.  This is what makes the
 paper's many-monitor comparisons (Tables V, VI, Fig. 9) tractable.
 
-:func:`replay_campaign` scales that replay the same two ways the campaign
-executor scales simulation: the trace list is cut into deterministic index
-chunks and fanned out over the forked-pool protocol of
-:mod:`repro.parallel` (``workers=``), and within each chunk the traces can
-be stacked into lock-step context batches evaluated column-wise through
-:meth:`~repro.core.monitor.SafetyMonitor.observe_batch`
-(``batch_size=``, see :mod:`repro.simulation.vector_replay`).  Both knobs
-are wall-clock knobs only: every monitor is reset per trace, so the alert
-streams are element-wise identical for any ``workers``/``batch_size``
-combination.  Any trace sequence works, in particular the lazy
-:class:`~repro.simulation.store.TraceDataset`, in which case each worker
-loads only its own shards.
+:func:`replay_campaign` is the one replay path.  Within a chunk of the
+trace list, consecutive equal-length traces are stacked into lock-step
+context batches evaluated column-wise through
+:meth:`~repro.core.monitor.SafetyMonitor.observe_batch` (``batch_size=``;
+a batch of one is an ordinary batch), and the chunks fan out over the
+forked-pool protocol of :mod:`repro.parallel` (``workers=``).  Both are
+wall-clock settings only: every column is evaluated as if the monitor
+were freshly reset, so the alert streams are element-wise identical to
+the scalar :func:`replay_monitor` loop — the reference the parity tests
+compare against — for any combination.  Any trace sequence works, in
+particular the lazy :class:`~repro.simulation.store.TraceDataset`, in
+which case each worker loads only its own shards.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..core.monitor import SafetyMonitor
-from ..parallel import (fork_map_chunks, resolve_batch_size, resolve_workers,
-                        shard_indices)
+from ..parallel import (iter_equal_length_groups, map_slices,
+                        resolve_batch_size)
 from .features import ContextBatch
 from .trace import SimulationTrace
 
@@ -66,35 +66,60 @@ def replay_monitor(monitor: SafetyMonitor,
     return alerts, hazards
 
 
-def _replay_alerts(monitor: SafetyMonitor, contexts) -> np.ndarray:
-    """Alert flags of *monitor* (reset first) over a realised context list."""
-    monitor.reset()
-    alerts = np.zeros(len(contexts), dtype=bool)
-    for t, ctx in enumerate(contexts):
-        alerts[t] = monitor.observe(ctx).alert
-    return alerts
+def _observe_checked(monitor: SafetyMonitor, name: str,
+                     batch: ContextBatch) -> Tuple[np.ndarray, np.ndarray]:
+    """Run ``observe_batch`` and validate the verdict-matrix shapes, so a
+    miswritten override fails loudly instead of silently misaligning the
+    per-trace alert streams."""
+    alerts, hazards = monitor.observe_batch(batch)
+    if np.shape(alerts) != batch.shape or np.shape(hazards) != batch.shape:
+        raise ValueError(
+            f"monitor {name!r} returned verdict matrices of shape "
+            f"{np.shape(alerts)}/{np.shape(hazards)} for a context batch "
+            f"of shape {batch.shape}")
+    return alerts, hazards
+
+
+def _replay_chunk(monitors: Mapping[str, SafetyMonitor],
+                  traces: Iterable[SimulationTrace],
+                  batch_size: int) -> Dict[str, List[np.ndarray]]:
+    """Replay *monitors* over a trace stream in lock-step batches.
+
+    The one place offline replay happens: the serial path hands it the
+    whole stream, the parallel path one slice per task.  Consecutive
+    equal-length traces are stacked into at most *batch_size* columns
+    (one :class:`ContextBatch` resident at a time); a batch of one is an
+    ordinary batch.  Returns ``name -> per-trace boolean alert arrays``
+    aligned with the input stream.
+    """
+    out: Dict[str, List[np.ndarray]] = {name: [] for name in monitors}
+    for group in iter_equal_length_groups(traces, batch_size):
+        batch = ContextBatch.from_traces(group)
+        for name, monitor in monitors.items():
+            alerts, _ = _observe_checked(monitor, name, batch)
+            out[name].extend(np.ascontiguousarray(alerts[:, b])
+                             for b in range(alerts.shape[1]))
+    return out
 
 
 def replay_campaign(monitors: Mapping[str, SafetyMonitor],
                     traces: Iterable[SimulationTrace],
                     workers: Optional[int] = None,
-                    batch_size: Optional[int] = None,
-                    chunks_per_worker: int = 4
+                    batch_size: Optional[int] = None
                     ) -> Dict[str, List[np.ndarray]]:
-    """Replay a named set of monitors over recorded traces, in parallel.
+    """Replay a named set of monitors over recorded traces.
 
     Parameters
     ----------
     monitors:
-        ``name -> monitor`` mapping; every monitor sees every trace (reset
-        before each one, exactly like :func:`replay_monitor`).  The
-        context stream of each trace is reconstructed once and shared by
-        all monitors.
+        ``name -> monitor`` mapping; every monitor sees every trace as if
+        freshly reset before it, exactly like :func:`replay_monitor`.  The
+        context stream of each batch is built once and shared by all
+        monitors.
     traces:
         Any iterable of traces.  Serially, plain iterables (generators
-        included) are streamed one trace (one batch, with
-        ``batch_size > 1``) at a time; with ``workers > 1`` a sequence is
-        required for index chunking — ideally a lazy
+        included) are streamed one batch at a time; with ``workers > 1``
+        they are sliced by index — ideally a lazy
         :class:`~repro.simulation.store.TraceDataset`, so each worker
         loads only its own shards (non-sequence iterables are
         materialised first).
@@ -102,63 +127,28 @@ def replay_campaign(monitors: Mapping[str, SafetyMonitor],
         Process count (None: ``REPRO_WORKERS`` env, or 1).  Monitors and
         the trace sequence are fork-inherited, never pickled, so trained
         models and lazy datasets work unchanged; only the boolean alert
-        arrays travel back.  Output is element-wise identical to
-        ``workers=1`` for every worker count.
+        arrays travel back.
     batch_size:
-        Lock-step replay width (None: ``REPRO_BATCH_SIZE`` env, or 1 =
-        the scalar per-cycle loop).  Traces are stacked into
-        ``(n_steps, B)`` context batches and every monitor is evaluated
-        column-wise via
-        :meth:`~repro.core.monitor.SafetyMonitor.observe_batch` (see
-        :mod:`repro.simulation.vector_replay`); the alert streams are
-        element-wise identical to the scalar path for every batch size,
-        and the knob composes multiplicatively with *workers* — each pool
-        chunk becomes a sequence of lock-step batches, exactly like the
-        simulation engine.
+        Lock-step replay width (None: ``REPRO_BATCH_SIZE`` env, or 1).
+        Traces are stacked into ``(n_steps, B)`` context batches and
+        every monitor is evaluated column-wise via
+        :meth:`~repro.core.monitor.SafetyMonitor.observe_batch`.
 
+    Both settings change wall-clock time only: the alert streams equal
+    :func:`replay_monitor`'s element-wise for every combination.
     Returns ``name -> list of per-trace boolean alert arrays``, aligned
     with *traces*.
     """
-    if chunks_per_worker < 1:
-        raise ValueError(
-            f"chunks_per_worker must be >= 1, got {chunks_per_worker}")
     named = dict(monitors)
-    workers = resolve_workers(workers)
     batch_size = resolve_batch_size(batch_size)
     out: Dict[str, List[np.ndarray]] = {name: [] for name in named}
     if not named:
         return out
-    if batch_size > 1:
-        from .vector_replay import replay_chunk_batched
-        if workers <= 1:
-            return replay_chunk_batched(named, traces, batch_size)
-    if workers <= 1:
-        # stream: one trace resident at a time, whatever the iterable
-        for trace in traces:
-            contexts = list(iter_contexts(trace))
-            for name, monitor in named.items():
-                out[name].append(_replay_alerts(monitor, contexts))
-        return out
 
-    if not hasattr(traces, "__getitem__"):
-        traces = list(traces)
-    n = len(traces)
-    if n == 0:
-        return out
-    chunks = shard_indices(n, workers * chunks_per_worker)
+    def replay_chunk(chunk):
+        return _replay_chunk(named, chunk, batch_size)
 
-    def replay_chunk(index_range):
-        if batch_size > 1:
-            return replay_chunk_batched(
-                named, (traces[i] for i in index_range), batch_size)
-        result = {name: [] for name in named}
-        for i in index_range:
-            contexts = list(iter_contexts(traces[i]))
-            for name, monitor in named.items():
-                result[name].append(_replay_alerts(monitor, contexts))
-        return result
-
-    for chunk_result in fork_map_chunks(replay_chunk, chunks, workers):
+    for chunk_result in map_slices(replay_chunk, traces, workers):
         for name, alerts in chunk_result.items():
             out[name].extend(alerts)
     return out
@@ -169,7 +159,6 @@ def replay_many(monitor: SafetyMonitor,
                 workers: Optional[int] = None,
                 batch_size: Optional[int] = None) -> List[np.ndarray]:
     """Alert sequences of *monitor* over a list of traces (``workers`` and
-    ``batch_size`` as for :func:`replay_campaign` — both are wall-clock
-    knobs with element-wise identical output)."""
+    ``batch_size`` as for :func:`replay_campaign`)."""
     return replay_campaign({"monitor": monitor}, traces, workers=workers,
                            batch_size=batch_size)["monitor"]

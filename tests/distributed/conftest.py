@@ -13,7 +13,7 @@ import pytest
 
 from repro.distributed import save_plan
 from repro.fi import CampaignConfig, generate_campaign
-from repro.simulation import CampaignStoreWriter, get_executor
+from repro.simulation import CampaignStoreWriter, run_plan
 from repro.simulation.executor import plan_campaign
 
 FOLDS = 2
@@ -46,7 +46,7 @@ def reference_store(plan, tmp_path_factory):
     directory = str(tmp_path_factory.mktemp("reference") / "store")
     with CampaignStoreWriter(directory, plan.platform, plan.n_steps,
                              folds=FOLDS) as writer:
-        get_executor(None, None).run(plan, sink=writer)
+        run_plan(plan, sink=writer)
     return directory
 
 

@@ -1,6 +1,8 @@
-"""Tests for the parallel campaign execution engine.
+"""Tests for the parallel campaign execution engine (``run_plan``).
 
-Trace equality uses the shared ``assert_traces_equal`` fixture from the
+``workers`` and ``batch_size`` only change wall-clock time: every
+combination must produce the traces of the serial scalar run.  Trace
+equality uses the shared ``assert_traces_equal`` fixture from the
 session conftest (the same assertion every parity suite uses).
 """
 
@@ -19,17 +21,20 @@ from repro.simulation import (
     CountingSink,
     ListSink,
     NpzDirectorySink,
-    ParallelExecutor,
     ProfileCache,
-    SerialExecutor,
     SimRun,
     get_executor,
     plan_campaign,
     plan_fault_free,
     run_campaign,
     run_fault_free,
-    shard_plan,
+    run_plan,
 )
+from repro.parallel import map_slices
+
+#: every (workers, batch_size) combination the parity tests sweep
+KNOB_GRID = [(workers, batch_size) for workers in (1, 2, 3)
+             for batch_size in (1, 4)]
 
 
 def small_campaign(n=6):
@@ -58,34 +63,40 @@ class TestPlanning:
 
 
 class TestSharding:
+    """The plan slices ``run_plan`` fans out (``map_slices`` over
+    ``plan.runs``)."""
+
     def plan(self, n):
         runs = tuple(SimRun(patient_id="A", init_glucose=120.0,
                             label=f"r{i}") for i in range(n))
         return CampaignPlan(platform="glucosym", runs=runs, n_steps=20)
 
+    def chunks(self, plan, workers):
+        return list(map_slices(tuple, plan.runs, workers))
+
     def test_chunks_concatenate_to_plan(self):
         plan = self.plan(17)
-        for n_chunks in (1, 2, 3, 5, 17, 40):
-            chunks = shard_plan(plan, n_chunks)
+        for workers in (1, 2, 3, 5):
+            chunks = self.chunks(plan, workers)
             flat = [r for chunk in chunks for r in chunk]
             assert tuple(flat) == plan.runs
 
     def test_chunk_sizes_balanced(self):
-        chunks = shard_plan(self.plan(10), 3)
+        chunks = self.chunks(self.plan(10), 2)
         sizes = [len(c) for c in chunks]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 10
 
     def test_deterministic(self):
         plan = self.plan(23)
-        assert shard_plan(plan, 4) == shard_plan(plan, 4)
+        assert self.chunks(plan, 2) == self.chunks(plan, 2)
 
     def test_never_more_chunks_than_runs(self):
-        assert len(shard_plan(self.plan(3), 16)) == 3
+        assert len(self.chunks(self.plan(3), 4)) == 3
 
     def test_invalid_chunk_count(self):
-        with pytest.raises(ValueError):
-            shard_plan(self.plan(3), 0)
+        with pytest.raises(ValueError, match="workers"):
+            self.chunks(self.plan(3), 0)
 
 
 class TestParity:
@@ -94,19 +105,21 @@ class TestParity:
     def test_serial_vs_parallel_identical(self, assert_traces_equal):
         scenarios = small_campaign()
         plan = plan_campaign("glucosym", ["A", "B"], scenarios, n_steps=25)
-        serial = SerialExecutor().run(plan)
-        parallel = ParallelExecutor(workers=2).run(plan)
+        serial = run_plan(plan)
+        parallel = run_plan(plan, workers=2)
         assert len(serial) == len(parallel) == len(plan)
         for s, p in zip(serial, parallel):
             assert_traces_equal(s, p)
 
     def test_worker_count_invariance(self, assert_traces_equal):
         scenarios = small_campaign(4)
-        plan = plan_campaign("glucosym", ["A"], scenarios, n_steps=25)
-        two = ParallelExecutor(workers=2, chunks_per_worker=1).run(plan)
-        three = ParallelExecutor(workers=3, chunks_per_worker=2).run(plan)
-        for a, b in zip(two, three):
-            assert_traces_equal(a, b)
+        plan = plan_campaign("glucosym", ["A", "B"], scenarios, n_steps=25)
+        reference = run_plan(plan, workers=1, batch_size=1)
+        for workers, batch_size in KNOB_GRID:
+            traces = run_plan(plan, workers=workers, batch_size=batch_size)
+            assert len(traces) == len(reference)
+            for a, b in zip(reference, traces):
+                assert_traces_equal(a, b)
 
     def test_run_campaign_workers_kwarg(self, assert_traces_equal):
         scenarios = small_campaign(4)
@@ -116,9 +129,11 @@ class TestParity:
         for s, p in zip(serial, parallel):
             assert_traces_equal(s, p)
 
-    def test_get_executor(self):
-        assert isinstance(get_executor(1), SerialExecutor)
-        assert isinstance(get_executor(4), ParallelExecutor)
+    def test_get_executor(self, assert_traces_equal):
+        plan = plan_campaign("glucosym", ["A"], small_campaign(3),
+                             n_steps=20)
+        for a, b in zip(run_plan(plan), get_executor(2, 4).run(plan)):
+            assert_traces_equal(a, b)
         with pytest.raises(ValueError):
             get_executor(0)
 
@@ -138,7 +153,7 @@ class TestRunMeals:
         return CampaignPlan(platform="glucosym", runs=runs, n_steps=40)
 
     def test_meals_affect_the_trace(self):
-        traces = SerialExecutor().run(self.meal_plan())
+        traces = run_plan(self.meal_plan())
         base, early, _ = traces
         assert not np.array_equal(base.true_bg, early.true_bg)
         # carbs raise glucose relative to the meal-free run
@@ -146,12 +161,11 @@ class TestRunMeals:
 
     def test_meal_parity_across_executors(self, assert_traces_equal):
         plan = self.meal_plan()
-        scalar = SerialExecutor(batch_size=1).run(plan)
-        vector = SerialExecutor(batch_size=8).run(plan)
-        parallel = ParallelExecutor(workers=2, batch_size=2).run(plan)
-        for s, v, p in zip(scalar, vector, parallel):
-            assert_traces_equal(s, v)
-            assert_traces_equal(s, p)
+        scalar = run_plan(plan, batch_size=1)
+        for workers, batch_size in ((1, 8), (2, 2)):
+            traces = run_plan(plan, workers=workers, batch_size=batch_size)
+            for s, v in zip(scalar, traces):
+                assert_traces_equal(s, v)
 
 
 class TestSinks:
@@ -206,8 +220,7 @@ class TestSinks:
         expected = run_campaign("glucosym", ["A"], scenarios, n_steps=20)
         sink = SlowSink()
         run_campaign("glucosym", ["A"], scenarios, n_steps=20,
-                     sink=sink, executor=ParallelExecutor(
-                         workers=2, chunks_per_worker=3))
+                     sink=sink, workers=2)
         assert [t.label for t in sink.traces] == [t.label for t in expected]
         for a, b in zip(expected, sink.traces):
             assert_traces_equal(a, b)
@@ -240,6 +253,16 @@ class TestCaches:
                                 cache=cache)
         assert cache.hits == 1
         assert first[0] is second[0]
+
+    def test_cached_call_still_validates_settings(self):
+        cache = BaselineCache()
+        run_fault_free("glucosym", ["A"], (100.0,), n_steps=20, cache=cache)
+        with pytest.raises(ValueError, match="workers"):
+            run_fault_free("glucosym", ["A"], (100.0,), n_steps=20,
+                           cache=cache, workers=0)
+        with pytest.raises(ValueError, match="batch_size"):
+            run_fault_free("glucosym", ["A"], (100.0,), n_steps=20,
+                           cache=cache, batch_size=0)
 
     def test_baseline_cache_distinguishes_configs(self):
         cache = BaselineCache()

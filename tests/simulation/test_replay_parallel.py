@@ -1,10 +1,18 @@
-"""Parity tests for parallel monitor replay and threshold learning.
+"""Parity tests for parallel monitor replay and threshold learning, and
+for the shared fan-out protocol itself.
 
 In the spirit of the executor parity suite (``test_executor.py``):
-``replay_campaign`` and ``learn_thresholds``/``mine_rule_samples`` must be
-element-wise identical to their serial counterparts at every worker count —
-worker count is a wall-clock knob, never a semantics knob.
+``replay_campaign`` must equal the scalar ``replay_monitor`` loop and
+``learn_thresholds``/``mine_rule_samples`` their serial counterparts at
+every worker count — worker count is a wall-clock knob, never a semantics
+knob — and every fan-out, nested ones included, must terminate.
 """
+
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -13,7 +21,8 @@ from repro.baselines import GuidelineMonitor
 from repro.core import (cawot_monitor, cawt_monitor, learn_thresholds,
                         mine_rule_samples)
 from repro.ml import context_features, trace_features
-from repro.parallel import fork_map_chunks, resolve_workers, shard_indices
+from repro.parallel import (fork_map_chunks, map_slices, resolve_workers,
+                            shard_indices)
 from repro.simulation import (iter_contexts, replay_campaign, replay_many,
                               replay_monitor)
 
@@ -28,18 +37,21 @@ def monitors():
 class TestReplayCampaignParity:
     def test_matches_serial_at_every_worker_count(self, monitors,
                                                   tiny_campaign_traces):
-        serial = replay_campaign(monitors, tiny_campaign_traces, workers=1)
-        for workers in WORKER_COUNTS:
+        scalar = {name: [replay_monitor(monitor, trace)[0]
+                         for trace in tiny_campaign_traces]
+                  for name, monitor in monitors.items()}
+        for workers in (1,) + WORKER_COUNTS:
             parallel = replay_campaign(monitors, tiny_campaign_traces,
                                        workers=workers)
-            assert set(parallel) == set(serial)
-            for name in serial:
+            assert set(parallel) == set(scalar)
+            for name in scalar:
                 assert len(parallel[name]) == len(tiny_campaign_traces)
-                for a, b in zip(serial[name], parallel[name]):
+                for a, b in zip(scalar[name], parallel[name]):
                     assert np.array_equal(a, b)
 
     def test_matches_per_trace_replay(self, monitors, tiny_campaign_traces):
-        campaign = replay_campaign(monitors, tiny_campaign_traces, workers=2)
+        campaign = replay_campaign(monitors, tiny_campaign_traces, workers=2,
+                                   batch_size=7)
         for name, monitor in monitors.items():
             for trace, alerts in zip(tiny_campaign_traces, campaign[name]):
                 assert np.array_equal(alerts,
@@ -47,9 +59,9 @@ class TestReplayCampaignParity:
 
     def test_replay_many_workers_kwarg(self, tiny_campaign_traces):
         monitor = cawot_monitor()
-        serial = replay_many(monitor, tiny_campaign_traces)
         parallel = replay_many(monitor, tiny_campaign_traces, workers=2)
-        assert all(np.array_equal(a, b) for a, b in zip(serial, parallel))
+        assert all(np.array_equal(alerts, replay_monitor(monitor, trace)[0])
+                   for trace, alerts in zip(tiny_campaign_traces, parallel))
 
     def test_accepts_plain_iterables(self, monitors, tiny_campaign_traces):
         from_iter = replay_campaign(monitors, iter(tiny_campaign_traces))
@@ -62,11 +74,8 @@ class TestReplayCampaignParity:
         assert replay_campaign(monitors, []) == {"CAWOT": [],
                                                  "Guideline": []}
         assert replay_campaign({}, []) == {}
-
-    def test_invalid_chunks_per_worker(self, monitors, tiny_campaign_traces):
-        with pytest.raises(ValueError, match="chunks_per_worker"):
-            replay_campaign(monitors, tiny_campaign_traces,
-                            chunks_per_worker=0)
+        assert replay_campaign(monitors, [], workers=2) == {"CAWOT": [],
+                                                            "Guideline": []}
 
 
 class TestLearnThresholdsParity:
@@ -131,6 +140,28 @@ class TestForkMapChunks:
     def test_serial_fallback_single_chunk(self):
         assert list(fork_map_chunks(sum, [range(5)], workers=8)) == [10]
 
+    def test_unpicklable_chunk_function(self):
+        # closures reach the workers through fork, never through pickle
+        offset = 100
+        chunks = shard_indices(12, 4)
+        assert list(fork_map_chunks(lambda c: sum(c) + offset, chunks,
+                                    workers=2)) == \
+            [sum(c) + offset for c in chunks]
+
+    def test_map_slices_passes_contiguous_slices(self):
+        items = list(range(23))
+        for workers in (1, 2, 3):
+            parts = list(map_slices(list, items, workers))
+            assert [x for part in parts for x in part] == items
+            assert len(parts) == (1 if workers == 1 else
+                                  min(len(items), workers * 4))
+
+    def test_map_slices_serial_streams_iterables(self):
+        stream = iter(range(5))
+        assert list(map_slices(lambda part: part, stream, 1)) == [stream]
+        assert list(map_slices(sum, iter(range(5)), 2)) == [0, 1, 2, 3, 4]
+        assert list(map_slices(len, [], 2)) == [0]
+
     def test_resolve_workers(self, monkeypatch):
         assert resolve_workers(3) == 3
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
@@ -139,6 +170,47 @@ class TestForkMapChunks:
         assert resolve_workers(None) == 5
         with pytest.raises(ValueError):
             resolve_workers(0)
+
+    def test_nested_fan_out_terminates(self):
+        """Regression: a fan-out inside a pool worker used to inherit the
+        parent's held fork lock and block forever.  Run in a subprocess
+        (own process group) under a hard timeout, so a regression fails
+        instead of hanging the suite or leaking blocked pool workers."""
+        script = textwrap.dedent("""
+            from repro.parallel import fork_map_chunks
+
+            def inner(chunk):
+                return sum(fork_map_chunks(lambda x: x * 2, list(chunk),
+                                           workers=2))
+
+            print(list(fork_map_chunks(inner, [range(3), range(3, 6)],
+                                       workers=2)), flush=True)
+
+            from repro.parallel import map_slices
+
+            def lengths(part):
+                return list(map_slices(len, part[0], workers=2))
+
+            print(list(map_slices(lengths, [list(range(10))] * 2,
+                                  workers=2)))
+        """)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("nested fan-out did not terminate within 30 s")
+        assert proc.returncode == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "[6, 24]"
+        # a fan-out inside a pool worker runs serially: one slice
+        assert lines[1] == "[[10], [10]]"
 
 
 class TestSharedContextReconstruction:

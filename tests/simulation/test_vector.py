@@ -14,10 +14,10 @@ from repro.controllers.iob import InsulinActivityCurve, IOBCalculator
 from repro.fi import (CampaignConfig, FaultKind, FaultSpec, FaultTarget,
                       generate_campaign)
 from repro.patients import Meal
-from repro.simulation import (ParallelExecutor, Scenario, SerialExecutor,
-                              get_executor, make_loop, plan_campaign,
-                              plan_fault_free, run_batch, run_campaign,
-                              run_fault_free)
+from repro.simulation import (Scenario, get_executor, make_loop,
+                              plan_campaign, plan_fault_free, run_batch,
+                              run_campaign, run_fault_free, run_plan)
+from repro.simulation import vector as vector_engine
 from repro.simulation.executor import SimRun
 
 
@@ -71,22 +71,23 @@ class TestCampaignParity:
         """batch_size and workers compose without changing one bit."""
         scenarios = small_campaign(8)
         plan = plan_campaign("glucosym", ["A", "B"], scenarios, n_steps=25)
-        reference = SerialExecutor().run(plan)
-        combo = ParallelExecutor(workers=2, chunks_per_worker=2,
-                                 batch_size=3).run(plan)
-        assert len(combo) == len(reference)
-        for s, v in zip(reference, combo):
-            assert_traces_equal(s, v)
+        reference = run_plan(plan)
+        for workers in (1, 2, 3):
+            for batch_size in (1, 3, 4):
+                combo = run_plan(plan, workers=workers, batch_size=batch_size)
+                assert len(combo) == len(reference)
+                for s, v in zip(reference, combo):
+                    assert_traces_equal(s, v)
 
     def test_non_default_dt_threads_through_plan(self, assert_traces_equal):
         """CampaignPlan.dt reaches both the scalar and vector chunk paths."""
         scenarios = small_campaign(3)
         plan = plan_campaign("glucosym", ["A"], scenarios, n_steps=25,
                              dt=10.0)
-        scalar = SerialExecutor().run(plan)
-        vector = SerialExecutor(batch_size=4).run(plan)
-        assert scalar[0].dt == vector[0].dt == 10.0
-        for s, v in zip(scalar, vector):
+        scalar = run_plan(plan)
+        batched = run_plan(plan, batch_size=4)
+        assert scalar[0].dt == batched[0].dt == 10.0
+        for s, v in zip(scalar, batched):
             assert_traces_equal(s, v)
 
     def test_fault_free_vectorized(self, assert_traces_equal):
@@ -193,7 +194,8 @@ class TestBatchComposition:
     def test_empty_scenario_list_campaign(self):
         assert run_campaign("glucosym", ["A"], [], batch_size=8) == []
         plan = plan_fault_free("glucosym", [], (), n_steps=25)
-        assert SerialExecutor(batch_size=4).run(plan) == []
+        assert run_plan(plan, batch_size=4) == []
+        assert run_plan(plan, workers=2, batch_size=4) == []
 
     def test_unknown_platform_rejected(self):
         with pytest.raises(KeyError):
@@ -233,26 +235,39 @@ class TestBatchComposition:
                       meals=[(), ()])
 
 
+def chunk_batch_sizes(monkeypatch, run):
+    """The lock-step widths *run* drives the vector engine at."""
+    seen = []
+    real = vector_engine.run_vector_chunk
+
+    def spy(plan, runs, batch_size, **kwargs):
+        seen.append(batch_size)
+        return real(plan, runs, batch_size, **kwargs)
+
+    monkeypatch.setattr(vector_engine, "run_vector_chunk", spy)
+    run(plan_campaign("glucosym", ["A"], small_campaign(3), n_steps=10))
+    return seen
+
+
 class TestExecutorKnobs:
-    def test_get_executor_batch_size(self):
-        executor = get_executor(1, 16)
-        assert isinstance(executor, SerialExecutor)
-        assert executor.batch_size == 16
-        executor = get_executor(4, 16)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.batch_size == 16
+    def test_get_executor_batch_size(self, monkeypatch):
+        assert chunk_batch_sizes(
+            monkeypatch, lambda plan: run_plan(plan, batch_size=16)) == [16]
+        assert chunk_batch_sizes(
+            monkeypatch, get_executor(1, 16).run) == [16]
 
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH_SIZE", "9")
-        assert get_executor(1).batch_size == 9
+        assert chunk_batch_sizes(monkeypatch, run_plan) == [9]
 
     def test_invalid_batch_size(self):
+        plan = plan_campaign("glucosym", ["A"], small_campaign(1), n_steps=5)
         with pytest.raises(ValueError):
             get_executor(1, 0)
         with pytest.raises(ValueError):
-            SerialExecutor(batch_size=0)
+            run_plan(plan, batch_size=0)
         with pytest.raises(ValueError):
-            ParallelExecutor(workers=2, batch_size=-1)
+            run_plan(plan, workers=2, batch_size=-1)
 
     def test_experiment_config_carries_batch_size(self):
         from repro.experiments import ExperimentConfig
