@@ -15,8 +15,11 @@ mitigation entries additionally enforce absolute floors:
 (3x) faster than ``replay_serial`` (the same lock-step replay at batch 1),
 and ``mitigation_vector`` at least
 ``MITIGATION_SPEEDUP_FLOOR`` (3x) faster than the scalar mitigated loop,
-whatever the baseline says.  The ``search`` entry (the cross-entropy
-scenario search of ``repro.search``) is gated the same way: timed
+whatever the baseline says.  The ``lstm_replay`` entry times batch-32
+replay of the stacked LSTM monitor, Table VI's sequence baseline, which
+runs through the batched row inference of ``repro.ml.nn``.  The
+``search`` entry (the cross-entropy scenario search of
+``repro.search``) is gated the same way: timed
 against the baseline and floored at ``SEARCH_EFFICIENCY_FLOOR`` (3x)
 hazards-found-per-simulation relative to the fixed grid.  The ``serve``
 entry drives the online monitor service with the deterministic load
@@ -55,7 +58,7 @@ from repro.experiments import ExperimentConfig
 from repro.experiments.data import platform_data
 from repro.experiments.table6 import run_table6
 from repro.fi import CampaignConfig, generate_campaign
-from repro.ml import train_dt_monitor
+from repro.ml import train_dt_monitor, train_lstm_monitor
 from repro.search import CrossEntropySearch
 from repro.serve import MonitorService, run_load
 from repro.simulation import replay_campaign, run_campaign, warm_profiles
@@ -172,6 +175,13 @@ def run_benchmarks() -> dict:
                            / max(results["replay_vector"]["seconds"], 1e-9), 2)
     results["replay_vector"]["speedup_vs_serial"] = replay_speedup
     print(f"  serial/vector replay speedup: {replay_speedup}x", flush=True)
+
+    # the stacked LSTM(128, 64) over k = 6 windows (Table VI's sequence
+    # baseline), replayed at batch 32 through the batched row inference;
+    # the one-epoch fit is setup, not part of the timed entry
+    lstm = train_lstm_monitor(traces, max_epochs=1)
+    timed("lstm_replay",
+          lambda: replay_campaign({"LSTM": lstm}, traces, batch_size=32))
 
     # mitigated closed loop (Table VII configuration): CAWOT monitor wired
     # to the fixed Algorithm 1 strategy, scalar loop vs lock-step batches

@@ -189,9 +189,8 @@ def main() -> int:
           "identical at any worker count")
 
     # replay parity: every monitor kind, the scalar replay_monitor loop vs
-    # lock-step replay_campaign across batch sizes and worker counts (LSTM
-    # exercises the column-loop fallback; a trace subset keeps its
-    # per-cycle cost bounded)
+    # lock-step replay_campaign across batch sizes and worker counts (a
+    # trace subset keeps the LSTM's per-cycle scalar reference bounded)
     monitors = {
         "CAWT": cawt_monitor(learn_thresholds(serial,
                                               batch_size=32).thresholds),

@@ -166,7 +166,7 @@ class SafetyMonitor(abc.ABC):
         element-wise identical for any batch composition.  This default
         implementation *is* that definition (a per-column scalar loop),
         which keeps user-defined monitors correct with zero work;
-        vectorized overrides (context-aware rules, DT/MLP, Guideline,
+        vectorized overrides (context-aware rules, DT/MLP/LSTM, Guideline,
         MPC) must preserve it bit for bit, and stateful overrides must
         carry their state as per-column vectors rather than scalar
         attributes.  The monitor's own scalar state is left reset.

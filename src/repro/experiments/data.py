@@ -46,6 +46,7 @@ __all__ = ["PlatformData", "platform_data", "clear_cache",
 
 _DATA_CACHE: Dict[tuple, "PlatformData"] = {}
 _ML_CACHE: Dict[tuple, Dict[str, SafetyMonitor]] = {}
+_THRESHOLD_CACHE: Dict[tuple, Dict[str, float]] = {}
 
 
 @dataclass
@@ -167,6 +168,7 @@ def clear_cache() -> None:
     """Drop all cached simulations and models (tests / memory control)."""
     _DATA_CACHE.clear()
     _ML_CACHE.clear()
+    _THRESHOLD_CACHE.clear()
     BASELINE_CACHE.clear()
 
 
@@ -207,12 +209,19 @@ def cawt_cv_replay(data: PlatformData,
 
 def cawt_full_thresholds(data: PlatformData, pid: str,
                          loss: str = "tmee") -> dict:
-    """Thresholds learned from all of one patient's data (for mitigation)."""
-    result = learn_thresholds(
-        list(data.by_patient[pid]) + list(data.fault_free_by_patient[pid]),
-        loss=loss, window=data.config.mining_window,
-        workers=data.config.workers, batch_size=data.config.batch_size)
-    return result.thresholds
+    """Thresholds learned from all of one patient's data (for mitigation).
+
+    Learned once per (simulation data, mining window, patient, loss) and
+    memoised — Table VII's monitor factory asks again on every run — each
+    call returning its own copy."""
+    config = data.config
+    key = (config.cache_key(), config.mining_window, pid, loss)
+    if key not in _THRESHOLD_CACHE:
+        _THRESHOLD_CACHE[key] = learn_thresholds(
+            list(data.by_patient[pid]) + list(data.fault_free_by_patient[pid]),
+            loss=loss, window=config.mining_window,
+            workers=config.workers, batch_size=config.batch_size).thresholds
+    return dict(_THRESHOLD_CACHE[key])
 
 
 def baseline_monitors(config: ExperimentConfig) -> Dict[str, SafetyMonitor]:

@@ -47,7 +47,9 @@ def run_adversarial_ablation(config: ExperimentConfig) -> ExperimentResult:
         for pid in config.patients:
             monitor = cawt_monitor(thresholds_by_pid[pid])
             test_p = [t for t in test if t.patient_id == pid]
-            alerts.extend(replay_many(monitor, test_p))
+            alerts.extend(replay_many(monitor, test_p,
+                                      workers=config.workers,
+                                      batch_size=config.batch_size))
             eval_traces.extend(test_p)
         cm = traces_confusion(eval_traces, alerts, delta=config.tolerance)
         rs = reaction_stats(eval_traces, alerts)
@@ -69,7 +71,8 @@ def run_multiclass_ablation(config: ExperimentConfig) -> ExperimentResult:
         headers=("monitor", "head", "FPR", "FNR", "ACC", "F1"))
     for multiclass in (False, True):
         for name, monitor in ml_monitors(data, multiclass=multiclass).items():
-            alerts = replay_many(monitor, test)
+            alerts = replay_many(monitor, test, workers=config.workers,
+                                 batch_size=config.batch_size)
             cm = traces_confusion(test, alerts, delta=config.tolerance)
             head = "multi-class" if multiclass else "binary"
             result.rows.append((name, head) + cm.as_row())
@@ -105,7 +108,9 @@ def run_fault_free_generalisation(config: ExperimentConfig) -> ExperimentResult:
             window=config.mining_window).thresholds
 
     for name, monitor in monitors.items():
-        alerts = replay_many(monitor, data.fault_free)
+        alerts = replay_many(monitor, data.fault_free,
+                             workers=config.workers,
+                             batch_size=config.batch_size)
         total = sum(a.sum() for a in alerts)
         n_samples = sum(len(a) for a in alerts)
         noisy = sum(1 for a in alerts if a.any())
@@ -114,7 +119,8 @@ def run_fault_free_generalisation(config: ExperimentConfig) -> ExperimentResult:
     alerts, total, n_samples, noisy = [], 0, 0, 0
     for trace in data.fault_free:
         monitor = cawt_monitor(thresholds[trace.patient_id])
-        seq = replay_many(monitor, [trace])[0]
+        seq = replay_many(monitor, [trace], workers=config.workers,
+                          batch_size=config.batch_size)[0]
         total += seq.sum()
         n_samples += len(seq)
         noisy += int(seq.any())

@@ -42,8 +42,11 @@ def run_table7(config: ExperimentConfig, max_rate: float = 5.0,
         mitigator = FixedMitigator(max_rate=max_rate)
 
     ml = ml_monitors(data)
+    # learned here, in the parent, so pool workers inherit the thresholds
+    # instead of each re-learning them inside the factory
+    cawt = {pid: cawt_full_thresholds(data, pid) for pid in config.patients}
     monitor_factories: Dict[str, object] = {
-        "CAWT": lambda pid: cawt_monitor(cawt_full_thresholds(data, pid)),
+        "CAWT": lambda pid: cawt_monitor(cawt[pid]),
         "DT": lambda pid: ml["DT"],
         "MLP": lambda pid: ml["MLP"],
         "MPC": lambda pid: MPCMonitor(horizon_steps=config.mpc_horizon),

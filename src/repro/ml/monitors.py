@@ -9,14 +9,17 @@ needed by the mitigation algorithm is then inferred from the glucose context
 (below target -> H1, above -> H2).  The multi-class variants predict the
 type directly (the Section VI-1 comparison).
 
-Batched replay: the point monitors override
+Batched replay: every monitor overrides
 :meth:`~repro.core.monitor.SafetyMonitor.observe_batch` to classify whole
-context columns at once — the DT through its vectorized flat-tree
-``predict`` (exact comparisons, batch-size invariant), the MLP through
-per-row ``predict`` calls (BLAS matmuls round differently per batch
-shape, so the scalar call pattern is kept) with the context assembly and
-hazard inference vectorized.  The LSTM is stateful over sliding windows
-and keeps the base-class column-loop fallback.
+context batches at once through the model's ``predict_rows``, whose
+per-row results do not depend on how many rows it is given — the DT's
+vectorized flat-tree traversal (exact comparisons), the MLP's and LSTM's
+stacked one-gemv-per-row inference pass (see
+:meth:`repro.ml.nn.model._BaseClassifier.predict_rows`).  The LSTM
+gathers the k-cycle window ending at every cycle ``t >= k - 1`` of every
+column, block by block, straight from the batch's feature stack.  The
+scalar :meth:`observe` of each monitor is the one-row view of the same
+``predict_rows`` call.
 """
 
 from __future__ import annotations
@@ -31,17 +34,35 @@ from ..core.monitor import MonitorVerdict, NO_ALERT, SafetyMonitor
 from ..hazards import HazardType
 from .datasets import build_point_dataset, build_window_dataset, context_features
 from .nn import LSTMClassifier, MLPClassifier
+from .nn.model import INFER_BLOCK
 from .tree import DecisionTreeClassifier
 
 __all__ = ["DTMonitor", "MLPMonitor", "LSTMMonitor",
            "train_dt_monitor", "train_mlp_monitor", "train_lstm_monitor"]
 
 
-def _infer_hazard(prediction: int, bg: float, bg_target: float,
-                  multiclass: bool) -> HazardType:
+def _verdict(prediction: int, bg: float, name: str, bg_target: float,
+             multiclass: bool) -> MonitorVerdict:
+    if prediction == 0:
+        return NO_ALERT
     if multiclass:
-        return HazardType(prediction)
-    return HazardType.H1 if bg < bg_target else HazardType.H2
+        hazard = HazardType(prediction)
+    else:
+        hazard = HazardType.H1 if bg < bg_target else HazardType.H2
+    return MonitorVerdict(alert=True, hazard=hazard,
+                          triggered=(name.lower(),))
+
+
+def _verdict_matrices(prediction: np.ndarray, bg: np.ndarray,
+                      bg_target: float,
+                      multiclass: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_verdict` over ``(n_steps, B)`` class predictions:
+    ``(alerts, hazards)`` with the hazard inference as array arithmetic."""
+    alerts = prediction != 0
+    if multiclass:
+        return alerts, np.where(alerts, prediction, 0)
+    h1, h2 = int(HazardType.H1), int(HazardType.H2)
+    return alerts, np.where(alerts, np.where(bg < bg_target, h1, h2), 0)
 
 
 class _PointMonitor(SafetyMonitor):
@@ -60,50 +81,23 @@ class _PointMonitor(SafetyMonitor):
 
     def observe(self, ctx: ContextVector) -> MonitorVerdict:
         features = context_features(ctx).reshape(1, -1)
-        prediction = int(self.model.predict(features)[0])
-        if prediction == 0:
-            return NO_ALERT
-        hazard = _infer_hazard(prediction, ctx.bg, self.bg_target,
-                               self.multiclass)
-        return MonitorVerdict(alert=True, hazard=hazard,
-                              triggered=(self.name.lower(),))
-
-    def _predict_rows(self, features: np.ndarray) -> np.ndarray:
-        """Per-row class predictions for an ``(n_rows, D)`` feature stack.
-
-        Default: one ``predict`` call per row — the exact call pattern of
-        :meth:`observe`, so any model is bit-identical to the scalar path
-        by construction (a whole-matrix BLAS matmul is *not*: its
-        rounding depends on the batch shape).  Models whose ``predict``
-        is batch-size invariant override with a single call.  Rows are
-        independent, so callers may stack any number of columns into one
-        matrix without changing a single prediction.
-        """
-        out = np.empty(len(features), dtype=int)
-        for i in range(len(features)):
-            out[i] = int(self.model.predict(features[i:i + 1])[0])
-        return out
+        prediction = int(self.model.predict_rows(features)[0])
+        return _verdict(prediction, ctx.bg, self.name, self.bg_target,
+                        self.multiclass)
 
     def observe_batch(self, batch) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`observe` over a context batch: every column's
-        feature matrix stacked into one row-major call to
-        :meth:`_predict_rows` (column b occupies row block b, the same
-        per-row evaluations as a column loop in the same order — rows are
-        independent, so wide live batches like the online service's
-        ``(1, n_users)`` tick cost one call, not ``n_users`` Python
-        iterations), hazard inference as array arithmetic."""
+        feature matrix stacked into one row-major ``predict_rows`` call
+        (column b occupies row block b; rows are independent, so wide
+        live batches like the online service's ``(1, n_users)`` tick cost
+        one call, not ``n_users`` Python iterations), hazard inference as
+        array arithmetic."""
         n_steps, n_cols = batch.shape
         stacked = np.ascontiguousarray(
             np.moveaxis(batch.features, 2, 0)).reshape(n_steps * n_cols, -1)
-        prediction = self._predict_rows(stacked).reshape(n_cols, n_steps).T
-        alerts = prediction != 0
-        h1, h2 = int(HazardType.H1), int(HazardType.H2)
-        if self.multiclass:
-            hazards = np.where(alerts, prediction, 0)
-        else:
-            hazards = np.where(
-                alerts, np.where(batch.bg < self.bg_target, h1, h2), 0)
-        return alerts, hazards
+        prediction = self.model.predict_rows(stacked).reshape(n_cols, n_steps).T
+        return _verdict_matrices(prediction, batch.bg, self.bg_target,
+                                 self.multiclass)
 
 
 class DTMonitor(_PointMonitor):
@@ -111,21 +105,11 @@ class DTMonitor(_PointMonitor):
                  bg_target: float = 120.0):
         super().__init__(model, "DT", multiclass, bg_target)
 
-    def _predict_rows(self, features: np.ndarray) -> np.ndarray:
-        # the flat-tree predict is batch-size invariant (pure threshold
-        # comparisons), so the whole column classifies in one call
-        return self.model.predict(features).astype(int, copy=False)
-
 
 class MLPMonitor(_PointMonitor):
     def __init__(self, model: MLPClassifier, multiclass: bool = False,
                  bg_target: float = 120.0):
         super().__init__(model, "MLP", multiclass, bg_target)
-
-    def _predict_rows(self, features: np.ndarray) -> np.ndarray:
-        # row-wise matmuls with the batch-invariant work hoisted out (see
-        # MLPClassifier.predict_rows for why whole-matrix BLAS is unsafe)
-        return self.model.predict_rows(features).astype(int, copy=False)
 
 
 class LSTMMonitor(SafetyMonitor):
@@ -150,12 +134,39 @@ class LSTMMonitor(SafetyMonitor):
         if len(self._buffer) < self.k:
             return NO_ALERT  # not enough history yet
         window = np.stack(self._buffer)[None, :, :]
-        prediction = int(self.model.predict(window)[0])
-        if prediction == 0:
-            return NO_ALERT
-        hazard = _infer_hazard(prediction, ctx.bg, self.bg_target,
-                               self.multiclass)
-        return MonitorVerdict(alert=True, hazard=hazard, triggered=("lstm",))
+        prediction = int(self.model.predict_rows(window)[0])
+        return _verdict(prediction, ctx.bg, self.name, self.bg_target,
+                        self.multiclass)
+
+    def observe_batch(self, batch) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`observe` over a context batch.
+
+        The window ending at cycle ``t >= k - 1`` of column ``b`` is
+        ``features[t - k + 1:t + 1, :, b]`` — exactly the rows the
+        scalar buffer holds there — so every such window is gathered
+        from one strided view of the batch, :data:`~repro.ml.nn.model.
+        INFER_BLOCK` windows at a time (never all at once), and
+        classified through ``predict_rows``.  The first ``k - 1`` cycles
+        of every column stay silent, as in :meth:`observe`.
+        """
+        n_steps, n_cols = batch.shape
+        prediction = np.zeros((n_steps, n_cols), dtype=np.intp)
+        n_windows = n_steps - self.k + 1
+        if n_windows > 0:
+            # (n_cols, n_windows, k, D) view: window w covers w .. w + k - 1
+            windows = np.lib.stride_tricks.sliding_window_view(
+                np.moveaxis(batch.features, 2, 0), self.k,
+                axis=1).swapaxes(2, 3)
+            flat = np.empty(n_cols * n_windows, dtype=np.intp)
+            for start in range(0, len(flat), INFER_BLOCK):
+                column, window = np.divmod(
+                    np.arange(start, min(start + INFER_BLOCK, len(flat))),
+                    n_windows)
+                flat[start:start + INFER_BLOCK] = self.model.predict_rows(
+                    windows[column, window])
+            prediction[self.k - 1:] = flat.reshape(n_cols, n_windows).T
+        return _verdict_matrices(prediction, batch.bg, self.bg_target,
+                                 self.multiclass)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Minimal layer zoo needed for the paper's MLP baseline monitor: dense
 (fully-connected) layers, ReLU, and inverted dropout.  Each layer exposes
 ``forward``/``backward`` plus its parameter and gradient arrays for the
-optimizer.
+optimizer, and a cache-free ``infer`` for prediction whose per-row
+results do not depend on how many rows are passed.  ``forward`` keeps
+what ``backward`` needs in ``_cache``; :meth:`Layer.release` drops it.
 """
 
 from __future__ import annotations
@@ -18,11 +20,23 @@ __all__ = ["Layer", "Dense", "ReLU", "Dropout"]
 class Layer:
     """Base layer: stateless by default."""
 
+    _cache = None
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Inference forward pass: stores nothing, and row ``r`` of the
+        output equals ``forward(x[r:r + 1])[0]`` bit for bit."""
+        raise NotImplementedError
+
+    def release(self) -> None:
+        """Drop the activations the last :meth:`forward` kept for
+        :meth:`backward`."""
+        self._cache = None
 
     @property
     def params(self) -> List[np.ndarray]:
@@ -45,14 +59,18 @@ class Dense(Layer):
         self.b = np.zeros(out_dim)
         self.gW = np.zeros_like(self.W)
         self.gb = np.zeros_like(self.b)
-        self._x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._x = x
+        self._cache = x
         return x @ self.W + self.b
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        # (n, 1, d) @ W runs one gemv per row, the BLAS call of a one-row
+        # forward; a plain (n, d) @ W gemm rounds rows differently
+        return (x[:, None, :] @ self.W)[:, 0, :] + self.b
+
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        self.gW[...] = self._x.T @ grad
+        self.gW[...] = self._cache.T @ grad
         self.gb[...] = grad.sum(axis=0)
         return grad @ self.W.T
 
@@ -66,15 +84,15 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
-    def __init__(self):
-        self._mask: Optional[np.ndarray] = None
-
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        self._cache = x > 0
+        return x * self._cache
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return x * (x > 0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad * self._mask
+        return grad * self._cache
 
 
 class Dropout(Layer):
@@ -85,17 +103,19 @@ class Dropout(Layer):
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
         self._rng = rng or np.random.default_rng()
-        self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if not training or self.rate == 0.0:
-            self._mask = None
+            self._cache = None
             return x
         keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        self._cache = (self._rng.random(x.shape) < keep) / keep
+        return x * self._cache
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return x
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._cache is None:
             return grad
-        return grad * self._mask
+        return grad * self._cache

@@ -43,7 +43,19 @@ class LSTMLayer(Layer):
         self.gWx = np.zeros_like(self.Wx)
         self.gWh = np.zeros_like(self.Wh)
         self.gb = np.zeros_like(self.b)
-        self._cache = None
+
+    def _cell(self, gates: np.ndarray, c: np.ndarray) -> tuple:
+        """One cell update from the pre-activation gates, shared by
+        :meth:`forward` and :meth:`infer` so both run the same
+        elementwise arithmetic: ``(i, f, g, o, c_next, tanh_c, h_next)``."""
+        H = self.hidden
+        i = _sigmoid(gates[:, 0 * H:1 * H])
+        f = _sigmoid(gates[:, 1 * H:2 * H])
+        g = np.tanh(gates[:, 2 * H:3 * H])
+        o = _sigmoid(gates[:, 3 * H:4 * H])
+        c_next = f * c + i * g
+        tanh_c = np.tanh(c_next)
+        return i, f, g, o, c_next, tanh_c, o * tanh_c
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 3:
@@ -56,17 +68,34 @@ class LSTMLayer(Layer):
         caches = []
         for t in range(T):
             gates = x[:, t, :] @ self.Wx + h @ self.Wh + self.b
-            i = _sigmoid(gates[:, 0 * H:1 * H])
-            f = _sigmoid(gates[:, 1 * H:2 * H])
-            g = np.tanh(gates[:, 2 * H:3 * H])
-            o = _sigmoid(gates[:, 3 * H:4 * H])
-            c_next = f * c + i * g
-            tanh_c = np.tanh(c_next)
-            h_next = o * tanh_c
+            i, f, g, o, c_next, tanh_c, h_next = self._cell(gates, c)
             caches.append((x[:, t, :], h, c, i, f, g, o, c_next, tanh_c))
             h, c = h_next, c_next
             h_seq[:, t, :] = h
         self._cache = (caches, x.shape)
+        return h_seq
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Cache-free :meth:`forward` whose rows do not depend on ``n``.
+
+        The step loop runs over ``T`` with the gate math vectorised
+        across rows; both matmuls are stacked ``(n, 1, d) @ W`` products,
+        which numpy evaluates as one gemv per row — the BLAS call a
+        one-row :meth:`forward` makes — so each row is bit-identical to
+        running it through :meth:`forward` on its own.
+        """
+        if x.ndim != 3:
+            raise ValueError(f"LSTM input must be (n, T, d), got shape {x.shape}")
+        n, T, _ = x.shape
+        H = self.hidden
+        h = np.zeros((n, H))
+        c = np.zeros((n, H))
+        h_seq = np.empty((n, T, H))
+        for t in range(T):
+            gates = (x[:, t, None, :] @ self.Wx
+                     + h[:, None, :] @ self.Wh)[:, 0, :] + self.b
+            _, _, _, _, c, _, h = self._cell(gates, c)
+            h_seq[:, t, :] = h
         return h_seq
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

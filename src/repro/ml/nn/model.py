@@ -20,7 +20,12 @@ from .losses import softmax, softmax_cross_entropy
 from .lstm import LSTMLayer
 from .optim import Adam
 
-__all__ = ["Standardizer", "MLPClassifier", "LSTMClassifier"]
+__all__ = ["Standardizer", "MLPClassifier", "LSTMClassifier", "INFER_BLOCK"]
+
+#: rows per :meth:`_BaseClassifier.row_logits` pass — bounds the
+#: inference working set (an LSTM keeps a ``(block, T, hidden)`` sequence
+#: per layer); rows are evaluated independently, so it changes no result
+INFER_BLOCK = 128
 
 
 class Standardizer:
@@ -133,7 +138,16 @@ class _BaseClassifier:
                     break
         for p, best in zip(params, best_weights):
             p[...] = best
+        self._release()
         return self
+
+    def _release(self) -> None:
+        """Drop the activations an inference-time :meth:`_forward` (the
+        last validation pass of :meth:`fit`, :meth:`predict_proba`) left
+        on the layers for a backward that never comes — they would stay
+        pinned for as long as the model lives."""
+        for layer in self.layers:
+            layer.release()
 
     # persistence --------------------------------------------------------
     def export_params(self) -> List[np.ndarray]:
@@ -185,31 +199,41 @@ class _BaseClassifier:
         if not self.layers:
             raise RuntimeError("model is not fitted")
         X = self.scaler.transform(np.asarray(X, dtype=float))
-        return softmax(self._forward(X, training=False))
+        logits = self._forward(X, training=False)
+        self._release()
+        return softmax(logits)
 
     def predict(self, X) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
 
-    def predict_rows(self, X) -> np.ndarray:
-        """Per-row class predictions, bit-identical to calling
-        :meth:`predict` on each row separately.
+    def row_logits(self, X) -> np.ndarray:
+        """Logits of every row, bit-identical to running each row through
+        the model on its own.
 
         Whole-matrix BLAS matmuls round differently per batch shape, so a
         monitor replayed in batches cannot just stack its cycles into one
-        ``predict`` call; this keeps the scalar one-row-per-matmul call
-        pattern but hoists the batch-invariant work (input coercion,
-        standardisation) out of the loop and reads the class straight off
-        the logits — ``softmax`` is strictly monotone and tie-preserving,
-        so ``argmax(logits)`` equals ``argmax(predict_proba)`` exactly.
+        ``predict`` call.  This runs every layer's :meth:`~.layers.Layer.
+        infer` instead: one stacked pass per :data:`INFER_BLOCK` rows, one
+        gemv per row, no training caches.
         """
         if not self.layers:
             raise RuntimeError("model is not fitted")
-        X = self.scaler.transform(np.asarray(X, dtype=float))
-        out = np.empty(len(X), dtype=np.intp)
-        for i in range(len(X)):
-            logits = self._forward(X[i:i + 1], training=False)
-            out[i] = np.argmax(logits[0])
+        X = np.asarray(X, dtype=float)
+        out = np.empty((len(X), self.n_classes))
+        for start in range(0, len(X), INFER_BLOCK):
+            block = self.scaler.transform(X[start:start + INFER_BLOCK])
+            for layer in self.layers:
+                block = layer.infer(block)
+            out[start:start + INFER_BLOCK] = block
         return out
+
+    def predict_rows(self, X) -> np.ndarray:
+        """Per-row class predictions, bit-identical to calling
+        :meth:`predict` on each row separately: :meth:`row_logits`, then
+        the class picked as :meth:`predict` picks it — softmax, then
+        argmax (the argmax of the raw logits differs when two logits are
+        closer than ``exp`` resolves)."""
+        return np.argmax(softmax(self.row_logits(X)), axis=1)
 
 
 class MLPClassifier(_BaseClassifier):
@@ -241,15 +265,15 @@ class MLPClassifier(_BaseClassifier):
 class _LastStep(Layer):
     """Select the final time step of an (n, T, H) sequence."""
 
-    def __init__(self):
-        self._shape = None
-
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._shape = x.shape
+        self._cache = x.shape
+        return x[:, -1, :]
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
         return x[:, -1, :]
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        full = np.zeros(self._shape)
+        full = np.zeros(self._cache)
         full[:, -1, :] = grad
         return full
 

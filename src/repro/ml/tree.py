@@ -226,6 +226,10 @@ class DecisionTreeClassifier:
             active = active[features[index[active]] >= 0]
         return predictions[index]
 
+    #: the monitors' per-row entry point: :meth:`predict` is already
+    #: batch-size invariant, so it serves rows of any count as they are
+    predict_rows = predict
+
     def node_arrays(self):
         """Preorder flattening of the fitted tree into three arrays:
         ``(features, thresholds, counts)`` with one row per node (leaves

@@ -252,6 +252,40 @@ class TestMonitorTables:
             assert row[2] >= 0  # new hazards
             assert row[3] >= 0  # avg risk
 
+    def test_table7_learns_cawt_thresholds_once_per_patient(self, cfg,
+                                                            monkeypatch):
+        import repro.experiments.data as data_module
+        calls = []
+        learn = data_module.learn_thresholds
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return learn(*args, **kwargs)
+
+        monkeypatch.setattr(data_module, "_THRESHOLD_CACHE", {})
+        monkeypatch.setattr(data_module, "learn_thresholds", counting)
+        first = run_table7(cfg)
+        assert len(calls) == len(cfg.patients)
+        # a second run (and the overhead experiment) hit the memo
+        assert run_table7(cfg).rows == first.rows
+        run_overhead(cfg)
+        assert len(calls) == len(cfg.patients)
+
+    def test_cawt_threshold_memo_hands_out_copies(self, cfg, monkeypatch):
+        import repro.experiments.data as data_module
+        data = platform_data(cfg)
+        pid = cfg.patients[0]
+        thresholds = data_module.cawt_full_thresholds(data, pid)
+        thresholds.clear()
+        assert data_module.cawt_full_thresholds(data, pid)
+        # clear_cache empties the memo (the other caches are swapped for
+        # throwaway ones so the module's shared simulations survive)
+        for name in ("_DATA_CACHE", "_ML_CACHE"):
+            monkeypatch.setattr(data_module, name, {})
+        monkeypatch.setattr(data_module, "BASELINE_CACHE", {})
+        data_module.clear_cache()
+        assert data_module._THRESHOLD_CACHE == {}
+
 
 def _assert_rows_identical(a, b):
     """Element-wise row equality, treating NaN == NaN (a metric undefined

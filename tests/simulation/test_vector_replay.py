@@ -5,13 +5,15 @@ The contract under test is the one the vector simulation engine set:
 knob.  Replay runs in lock step at every width (B=1 included), so its
 reference is the scalar per-cycle ``replay_monitor`` loop: alert streams
 must equal it element-wise for every monitor kind — the vectorized
-overrides (CAWT/CAWOT rules, DT, MLP, Guideline, MPC) and the column-loop
-fallback (LSTM, user-defined monitors) alike — across batch sizes and
+overrides (CAWT/CAWOT rules, DT, MLP, LSTM, Guideline, MPC) and the
+column-loop fallback (user-defined monitors) alike — across batch sizes and
 worker counts.  Mined robustness samples must equal a per-trace oracle
 written out from the ``RuleSamples`` definition, and the batched
 fault-free titration must reproduce the scalar ``empirical_isf`` bit for
 bit.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from repro.simulation import (ContextBatch, PROFILE_CACHE, controller_profile,
                               iter_contexts, replay_campaign, replay_monitor,
                               titrate_isf_batch, warm_profiles)
 from repro.simulation.batch import empirical_isf
+from repro.simulation.trace import TRACE_ARRAY_FIELDS
 from repro.patients import make_patient, patient_ids
 
 BATCH_SIZES = (1, 7, 32)
@@ -129,8 +132,19 @@ def fast_monitors(tiny_campaign_traces):
 
 
 @pytest.fixture(scope="module")
-def lstm_monitor(tiny_campaign_traces):
-    return train_lstm_monitor(tiny_campaign_traces, max_epochs=2)
+def lstm_monitors(tiny_campaign_traces):
+    return {
+        "LSTM": train_lstm_monitor(tiny_campaign_traces, max_epochs=2),
+        "LSTMmc": train_lstm_monitor(tiny_campaign_traces, multiclass=True,
+                                     max_epochs=2),
+    }
+
+
+def truncated(trace, start, n_steps):
+    """Cycles ``start .. start + n_steps - 1`` of *trace* as a trace."""
+    return dataclasses.replace(trace, **{
+        name: getattr(trace, name)[start:start + n_steps]
+        for name in TRACE_ARRAY_FIELDS})
 
 
 class TestBatchedReplayParity:
@@ -138,11 +152,26 @@ class TestBatchedReplayParity:
             self, fast_monitors, tiny_campaign_traces):
         assert_matches_scalar(fast_monitors, tiny_campaign_traces, KNOB_GRID)
 
-    def test_lstm_fallback_parity(self, lstm_monitor, tiny_campaign_traces):
-        # the LSTM is stateful over sliding windows and uses the base
-        # class's column-loop fallback; a trace subset keeps this fast
+    def test_lstm_batched_parity(self, lstm_monitors, tiny_campaign_traces):
+        # the LSTM classifies every k-cycle window of a batch in stacked
+        # passes; binary and multi-class heads, a trace subset to keep
+        # this fast, and traces shorter than / exactly k cycles long (no
+        # window / one window) mixed into the stream
+        k = lstm_monitors["LSTM"].k
         traces = list(tiny_campaign_traces[:10])
-        assert_matches_scalar({"LSTM": lstm_monitor}, traces, KNOB_GRID)
+        short = [truncated(trace, 30 + i, n_steps)
+                 for i, trace in enumerate(traces[:4])
+                 for n_steps in (k - 1, k, k + 1)]
+        assert_matches_scalar(lstm_monitors, short + traces, KNOB_GRID)
+        # the hazard codes too, column by column
+        for monitor in lstm_monitors.values():
+            for group in (short[1::3], traces):
+                alerts, hazards = monitor.observe_batch(
+                    ContextBatch.from_traces(group))
+                for b, trace in enumerate(group):
+                    ref_alerts, ref_hazards = replay_monitor(monitor, trace)
+                    assert np.array_equal(alerts[:, b], ref_alerts)
+                    assert np.array_equal(hazards[:, b], ref_hazards)
 
     def test_hazard_codes_match_scalar_replay(self, fast_monitors,
                                               tiny_campaign_traces):
